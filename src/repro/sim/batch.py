@@ -43,8 +43,11 @@ branch on the mode.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from math import gcd
-from typing import Iterable, Sequence
+from operator import eq
+from typing import Iterable, Optional, Sequence
 
 from repro.sim.address_space import LINE_SHIFT, LINE_SIZE
 from repro.sim.cpu import Cpu
@@ -63,6 +66,31 @@ EXEC_MODES = ("reference", "batched")
 #: enough that the training prefix of a cold scan costs at most two
 #: retries, small enough that the fast path engages quickly.
 _STRIDE_RETRY_CHUNK = 64
+
+#: Per-level and prefetcher statistics a ``load_list`` round delta
+#: carries (see :meth:`BatchExecutor._list_round`).
+_LEVEL_STATS = ("hits", "misses", "fills", "evictions", "dirty_evictions",
+                "_occupancy")
+_PF_STATS = ("n_trained", "n_pf_l2_issued", "n_pf_l3_issued")
+
+
+def _on_grid(cycles: float, stall: float, *prices: float) -> bool:
+    """True when bulk cycle accounting may reassociate float adds.
+
+    That is bit-exact only while every operand (and so every
+    intermediate sum) is a multiple of 2**-8 small enough that no sum
+    ever rounds: multiples of 2**-8 below 2**44 need at most 52
+    significand bits, and accumulators below 2**43 leave headroom for
+    the bulk add itself."""
+    return (cycles < 2.0 ** 43 and stall < 2.0 ** 43
+            and all((x * 256.0).is_integer() for x in (cycles, stall, *prices)))
+
+
+def _list_snapshot(sets, pf) -> tuple:
+    """Line order and dirty bits of ``sets`` plus the prefetcher's
+    tracker state: what a fixed-point round must leave unchanged."""
+    return ([(tuple(s), tuple(s.values())) for s in sets],
+            pf._last[:], pf._run[:], pf._l2up[:], pf._l3up[:], pf._victim)
 
 
 class ReferenceExecutor:
@@ -145,6 +173,16 @@ class BatchExecutor:
         #: (offsets tuple, base mod line) -> (line-first offsets,
         #: word count, line count).  See :meth:`load_run`.
         self._run_memo: dict = {}
+        #: ``(addrs, dependent, mut_epoch, fingerprint, delta)`` of the
+        #: last ``load_list`` call, ``delta`` None until a round is
+        #: verified as a fixed point.  See :meth:`load_list`.
+        self._list_memo = None
+        #: Round-replay regime counters.  Host-side diagnostics only:
+        #: they never enter simulated state or any report.
+        self.list_walks = 0
+        self.list_replays = 0
+        self.list_replayed_loads = 0
+        self.list_verify_failed: dict = {}
 
     # ------------------------------------------------------------ public API
 
@@ -355,14 +393,133 @@ class BatchExecutor:
             c.cycles += bulk * issue
 
     def load_list(self, addrs: Iterable[int], dependent: bool = False) -> None:
+        # Verified fixed-point round replay: pointer-chase benchmarks
+        # walk one chain round after round.  Once a round is proved to
+        # leave the machine as it found it (see _list_round), an equal
+        # call at the same epoch and pricing repeats the same state
+        # transition, so its counter delta is applied in O(fields).
+        hier = self.cpu.hierarchy
+        if type(addrs) not in (list, tuple):
+            addrs = list(addrs)
+        fp = self._list_fingerprint()
+        memo = self._list_memo
+        repeat = (memo is not None and memo[2] == hier.mut_epoch
+                  and memo[1] == dependent and memo[3] == fp
+                  and len(memo[0]) == len(addrs)
+                  and all(map(eq, memo[0], addrs)))
+        if repeat:
+            key, delta = memo[0], memo[4]
+            if delta is not None and self._list_replay(delta):
+                hier.mut_epoch += 1
+                self._list_memo = (key, dependent, hier.mut_epoch, fp, delta)
+                self.list_replays += 1
+                self.list_replayed_loads += len(key)
+                return
+        else:
+            # One packed copy at a time: drop the old key before the walk.
+            self._list_memo = key = None
+        delta = self._list_round(addrs, dependent, repeat)
+        if key is None:
+            try:
+                key = array("I", addrs)  # half the bytes when they fit
+            except OverflowError:
+                key = array("q", addrs)
+        self._list_memo = (key, dependent, hier.mut_epoch, fp, delta)
+
+    def _list_fingerprint(self) -> tuple:
+        """What prices or steers a ``load_list`` walk besides cache
+        state.  P-state changes, prefetcher toggles and TCM moves do not
+        bump the mutation epoch, so the memo keys on them instead."""
+        cpu = self.cpu
+        pf = cpu.hierarchy.prefetcher
+        tcm = cpu.hierarchy.tcm_region
+        return (tuple(cpu._latency), cpu.timing.load_issue, cpu.timing.mlp,
+                pf.enabled, pf.n_streams, pf.train_threshold, pf.degree,
+                pf.l3_extra, None if tcm is None else (tcm.base, tcm.size))
+
+    def _list_round(self, addrs, dependent: bool,
+                    repeat: bool) -> Optional[tuple]:
+        """Walk one ``load_list`` round; return its delta if the round
+        is a verified fixed point, else None.
+
+        A round with no L1D miss only re-orders each set into the order
+        it leaves behind (the scan-memo argument): a fixed point as it
+        stands.  A round with misses is verified only when it repeats
+        the previous call: the L1/L2/L3 sets the chain maps to (line
+        order, dirty bits) and the prefetcher trackers are snapshotted
+        before and after the walk.  It is accepted if they are equal and
+        it issued no write-backs and no prefetch fills — the only ways
+        a round can touch other sets — so the whole machine state is
+        unchanged and replaying the round repeats the same walk.
+        """
+        cpu = self.cpu
+        hier = cpu.hierarchy
+        c = cpu.counters
+        pf = hier.prefetcher
+        issue = cpu.timing.load_issue
+        exact = _on_grid(c.cycles, c.stall_cycles, issue, *cpu._latency,
+                         *(x / cpu.timing.mlp - issue for x in cpu._latency))
+        levels = [lv for lv in (hier.l1d, hier.l2, hier.l3) if lv is not None]
+        if exact and repeat:
+            touched = [lv._sets[i] for lv in levels
+                       for i in {(a >> LINE_SHIFT) & lv._set_mask
+                                 for a in addrs}]
+            snap = _list_snapshot(touched, pf)
+        stats = [(lv, name) for lv in levels for name in _LEVEL_STATS]
+        stats += [(pf, name) for name in _PF_STATS]
+        c0 = c.copy()
+        stats0 = [getattr(obj, name) for obj, name in stats]
+        self.list_walks += 1
+        self._list_walk(addrs, dependent)
+        d = c.minus(c0)
+        if not (exact and _on_grid(c.cycles, c.stall_cycles)):
+            reason = "inexact"
+        elif d.n_l1d == d.l1d_hits:
+            reason = None
+        elif not repeat:
+            return None
+        elif d.n_writeback:
+            reason = "writeback"
+        elif d.n_pf_l2 or d.n_pf_l3:
+            reason = "prefetch"
+        else:
+            reason = "state" if _list_snapshot(touched, pf) != snap else None
+        if reason is not None:
+            if repeat:
+                failed = self.list_verify_failed
+                failed[reason] = failed.get(reason, 0) + 1
+            return None
+        moved = [(obj, name, getattr(obj, name) - v0)
+                 for (obj, name), v0 in zip(stats, stats0)
+                 if getattr(obj, name) != v0]
+        return (d.cycles, d.stall_cycles,
+                tuple(d.as_dict(skip_zero=True).items()), moved)
+
+    def _list_replay(self, delta) -> bool:
+        """Apply a verified round delta, unless the cycle accumulators
+        have left the exact range (then apply nothing)."""
+        d_cyc, d_stall, pmu, moved = delta
+        c = self.cpu.counters
+        if not _on_grid(c.cycles + d_cyc, c.stall_cycles + d_stall,
+                        c.cycles, c.stall_cycles):
+            return False
+        cd = c.__dict__
+        for name, v in pmu:
+            cd[name] += v
+        for obj, name, v in moved:
+            setattr(obj, name, getattr(obj, name) + v)
+        return True
+
+    def _list_walk(self, addrs: Sequence[int], dependent: bool) -> None:
+        """One ``load_list`` round through the hierarchy."""
         cpu = self.cpu
         hier = cpu.hierarchy
         hier.mut_epoch += 1
         # Optimistic pass, as in load_run: L1D hits (the resident-list
         # pointer-chase case) are applied inline and in order; the first
-        # miss — or any TCM address — hands the remainder to the full
-        # walk.  ``dependent`` applies to every load here, so the hit
-        # bulk prices each hit at the dependent L1 latency.
+        # miss — or any TCM address — hands the rest, uncopied, to the
+        # full walk.  ``dependent`` applies to every load here, so the
+        # hit bulk prices each hit at the dependent L1 latency.
         l1 = hier.l1d
         s1 = l1._sets
         m1 = l1._set_mask
@@ -374,21 +531,15 @@ class BatchExecutor:
             tbase = 1
             tend = 0
         hits = 0
-        rest = None
         for a in addrs:
-            if rest is not None:
-                rest.append(a)
-                continue
-            line = a >> LINE_SHIFT
             if tbase <= a < tend:
-                rest = [a]
-                continue
+                break
+            line = a >> LINE_SHIFT
             set1 = s1[line & m1]
-            if line in set1:
-                set1.move_to_end(line)
-                hits += 1
-            else:
-                rest = [a]
+            if line not in set1:
+                break
+            set1.move_to_end(line)
+            hits += 1
         if hits:
             c = cpu.counters
             l1.hits += hits
@@ -401,8 +552,8 @@ class BatchExecutor:
                 c.stall_cycles += hits * (lat_l1 - 1.0)
             else:
                 c.cycles += hits * cpu.timing.load_issue
-        if rest is not None:
-            self._load_addrs(rest, dependent)
+        if hits < len(addrs):
+            self._load_addrs(islice(addrs, hits, None), dependent)
 
     def load_one(self, addr: int, dependent: bool = False) -> int:
         """One load instruction, flattened to a single frame.
@@ -796,14 +947,8 @@ class BatchExecutor:
         c = cpu.counters
         cyc = c.cycles
         stall = c.stall_cycles
-        if not ((issue * 256.0).is_integer() and (exp3 * 256.0).is_integer()
-                and (cyc * 256.0).is_integer() and (stall * 256.0).is_integer()
-                and cyc < 2.0 ** 43):
-            # Bulk cycle accounting below reassociates the per-probe
-            # adds; that is bit-exact only while every operand (and so
-            # every intermediate sum) is a multiple of 2**-8 small
-            # enough that no sum ever rounds: multiples of 2**-8 below
-            # 2**44 need at most 52 significand bits.
+        if not _on_grid(cyc, stall, issue, exp3):
+            # Bulk cycle accounting below reassociates the per-probe adds.
             return 0
         l1 = hier.l1d
         l2 = hier.l2
@@ -1551,7 +1696,11 @@ class BatchExecutor:
         else:
             tbase = 1
             tend = 0
-        observe = hier.prefetcher.observe
+        pf = hier.prefetcher
+        observe = pf.observe
+        # A disabled prefetcher's observe() returns empty ranges and
+        # touches no state, so skipping the call is exact.
+        pf_on = pf.enabled and pf.n_streams > 0
         lat = cpu._latency
         lat_tcm = lat[LEVEL_TCM]
         lat_l1 = lat[LEVEL_L1D]
@@ -1689,51 +1838,52 @@ class BatchExecutor:
             set1[line] = False
             # prefetcher (demand loads only, after the fills — same
             # order as MemoryHierarchy.load)
-            pf2, pf3 = observe(line)
-            for pline in pf2:
-                if l2 is not None and pline not in s2[pline & m2]:
-                    if l3 is not None and pline in s3[pline & m3]:
-                        n_pf_l2 += 1
-                        pset = s2[pline & m2]
-                        f2 += 1
-                        if len(pset) >= a2:
-                            v, vd = pset.popitem(last=False)
-                            ev2 += 1
-                            if vd:
-                                dev2 += 1
-                                n_wb += 1
-                                fill_l3(v, True)
-                        else:
-                            occ2 += 1
-                        pset[pline] = False
-                    else:
-                        n_pf_l3 += 1
-                        if l3 is not None:
-                            pset = s3[pline & m3]
-                            f3 += 1
-                            if len(pset) >= a3:
+            if pf_on:
+                pf2, pf3 = observe(line)
+                for pline in pf2:
+                    if l2 is not None and pline not in s2[pline & m2]:
+                        if l3 is not None and pline in s3[pline & m3]:
+                            n_pf_l2 += 1
+                            pset = s2[pline & m2]
+                            f2 += 1
+                            if len(pset) >= a2:
                                 v, vd = pset.popitem(last=False)
-                                ev3 += 1
+                                ev2 += 1
                                 if vd:
-                                    dev3 += 1
+                                    dev2 += 1
                                     n_wb += 1
+                                    fill_l3(v, True)
                             else:
-                                occ3 += 1
+                                occ2 += 1
                             pset[pline] = False
-            for pline in pf3:
-                if l3 is not None and pline not in s3[pline & m3]:
-                    n_pf_l3 += 1
-                    pset = s3[pline & m3]
-                    f3 += 1
-                    if len(pset) >= a3:
-                        v, vd = pset.popitem(last=False)
-                        ev3 += 1
-                        if vd:
-                            dev3 += 1
-                            n_wb += 1
-                    else:
-                        occ3 += 1
-                    pset[pline] = False
+                        else:
+                            n_pf_l3 += 1
+                            if l3 is not None:
+                                pset = s3[pline & m3]
+                                f3 += 1
+                                if len(pset) >= a3:
+                                    v, vd = pset.popitem(last=False)
+                                    ev3 += 1
+                                    if vd:
+                                        dev3 += 1
+                                        n_wb += 1
+                                else:
+                                    occ3 += 1
+                                pset[pline] = False
+                for pline in pf3:
+                    if l3 is not None and pline not in s3[pline & m3]:
+                        n_pf_l3 += 1
+                        pset = s3[pline & m3]
+                        f3 += 1
+                        if len(pset) >= a3:
+                            v, vd = pset.popitem(last=False)
+                            ev3 += 1
+                            if vd:
+                                dev3 += 1
+                                n_wb += 1
+                        else:
+                            occ3 += 1
+                        pset[pline] = False
             if dep:
                 cyc += lvl_lat
                 stall += lvl_lat - 1.0

@@ -168,7 +168,10 @@ class Machine:
         # executor's back, so in batched mode they bump the hierarchy's
         # mutation epoch (which invalidates the scan-replay memo).  The
         # reference path stays raw — zero added overhead.
+        # Reference-mode loads never bump the epoch, so a mode switch
+        # drops both batched memos.
         self._executors["batched"]._scan_memo = None
+        self._executors["batched"]._list_memo = None
         if mode == "batched":
             # Single-frame per-op paths: they bump the hierarchy's
             # mutation epoch themselves (which invalidates the

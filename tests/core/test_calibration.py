@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro import Machine, tiny_intel
 from repro.core.calibration import calibrate, calibrate_pstates
 from repro.errors import CalibrationError
+from repro.micro.benchmarks import mbs_for, prepare
+from repro.micro.measurement import measure_background
+from repro.micro.runner import RuntimeConfig, run_prepared
 
 
 class TestCalibrate:
@@ -61,3 +65,32 @@ class TestPstateSweep:
         # Core-located ops drop hard; DRAM barely (Table 2's pattern).
         assert lo.l1d < 0.6 * hi.l1d
         assert lo.mem > 0.85 * hi.mem
+
+
+class TestExecModes:
+    def test_reference_and_batched_calibrations_identical(self):
+        """Counters, energies and the dE table agree exactly across
+        executors, with the round replay engaged."""
+        runtime = RuntimeConfig(target_ops=3000)
+        cals = {}
+        for mode in ("reference", "batched"):
+            machine = Machine(tiny_intel(), seed=7, exec_mode=mode)
+            cals[mode] = calibrate(machine, runtime=runtime)
+        assert cals["reference"] == cals["batched"]
+        assert machine.exec.list_replays > 0
+
+    def test_round_replay_engages_on_chain_benchmarks(self):
+        """The pointer-chase benchmarks walk only until a round is
+        verified as a fixed point; every later round is replayed."""
+        machine = Machine(tiny_intel(), seed=7)
+        background = measure_background(machine)
+        ex = machine.exec
+        walks = {}
+        for name in mbs_for(machine):
+            before = ex.list_walks
+            run_prepared(machine, prepare(name, machine), background)
+            walks[name] = ex.list_walks - before
+        assert walks["B_L2"] <= 3
+        assert walks["B_L3"] <= 3
+        assert walks["B_mem"] <= 2
+        assert ex.list_verify_failed == {}

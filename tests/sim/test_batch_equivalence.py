@@ -12,11 +12,13 @@ equality, floats included.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.config import tiny_arm, tiny_intel
+from repro.micro.framework import shuffled_chain_order
 from repro.sim.address_space import Region
 from repro.sim.machine import Machine
 
@@ -215,17 +217,20 @@ def test_scan_memo_invalidated_by_per_op_access():
     assert ref == bat
 
 
-def _run_scenario(mode: str, body) -> Machine:
-    machine = Machine(tiny_intel(), exec_mode=mode)
+def _run_scenario(mode: str, body, config=None) -> Machine:
+    machine = Machine(config or tiny_intel(), exec_mode=mode)
     body(machine)
     machine.settle()
     return machine
 
 
-def _assert_modes_agree(body):
-    ref = _state(_run_scenario("reference", body))
-    bat = _state(_run_scenario("batched", body))
-    assert ref == bat
+def _assert_modes_agree(body, config=None):
+    """Run ``body`` in both modes, require identical state, and return
+    the batched machine's executor (for regime-counter checks)."""
+    ref = _state(_run_scenario("reference", body, config))
+    batched = _run_scenario("batched", body, config)
+    assert ref == _state(batched)
+    return batched._executors["batched"]
 
 
 def test_cold_stream_scan_equivalence():
@@ -380,6 +385,150 @@ def test_load_ring_cursor_matches_reference():
             cursors[mode] = machine.exec.load_ring(
                 ring.base, 1, stride, count, n_lines)
         assert cursors["reference"] == cursors["batched"]
+
+
+def _chain(machine: Machine, n_lines: int, label: str) -> list:
+    """A shuffled pointer chain over ``n_lines`` fresh lines, the shape
+    the calibration benchmarks walk — with the prefetcher off, as they
+    run (its stream trackers never settle on a shuffled chain)."""
+    machine.set_prefetcher(False)
+    region = machine.address_space.alloc_lines(n_lines, label)
+    return [region.line(i) for i in shuffled_chain_order(n_lines, seed=5)]
+
+
+@pytest.mark.parametrize("dependent", (True, False))
+@pytest.mark.parametrize("n_lines", (200, 2000, 12000))
+def test_list_replay_repeated_chains(n_lines, dependent):
+    """Chains reaching L2, L3 and DRAM, walked round after round: once
+    a round is verified as a fixed point the batched executor replays
+    whole rounds, which must match per-op execution bit for bit."""
+    def body(machine):
+        addrs = _chain(machine, n_lines, "chain")
+        for _ in range(6):
+            machine.exec.load_list(addrs, dependent)
+            machine.cmp(1)
+    ex = _assert_modes_agree(body)
+    assert ex.list_replays >= 3
+    assert ex.list_replayed_loads == ex.list_replays * n_lines
+
+
+def test_list_replay_interleaved_chains():
+    """An L1D-resident chain alternating with an L2-resident one (the
+    B_L1D_list_L2 shape), then the second chain on its own."""
+    def body(machine):
+        a = _chain(machine, 24, "l1-chain")
+        b = _chain(machine, 200, "l2-chain")
+        for _ in range(5):
+            machine.exec.load_list(a, True)
+            machine.exec.load_list(b, True)
+        for _ in range(4):
+            machine.exec.load_list(b, True)
+    assert _assert_modes_agree(body).list_replays >= 2
+
+
+def test_list_replay_sees_in_place_mutation():
+    """The same list object, changed in place between calls, must be
+    walked again rather than replayed — including a change to an
+    address above 2**32, which needs the 8-byte key."""
+    def body(machine):
+        addrs = _chain(machine, 2000, "chain")
+        other = machine.address_space.alloc_lines(64, "other")
+        for i in range(8):
+            if i == 4:
+                addrs[7] = other.line(3)
+            if i == 6:
+                addrs.append(other.line(9) + (1 << 32))
+            machine.exec.load_list(addrs, True)
+    assert _assert_modes_agree(body).list_replays == 2
+
+
+def test_list_replay_across_pstate_changes():
+    """A P-state change reprices DRAM latency without touching cache
+    state; the memo is keyed on the latencies, so it must re-walk."""
+    def body(machine):
+        addrs = _chain(machine, 12000, "chain")
+        for pstate in (36, 36, 36, 12, 12, 12, 36, 36):
+            machine.set_pstate(pstate)
+            machine.exec.load_list(addrs, True)
+    assert _assert_modes_agree(body).list_replays == 2
+
+
+def test_list_replay_across_prefetcher_toggles():
+    """A sequential chain trains the prefetcher when it is on (its
+    prefetch fills forbid replay) and replays when it is off."""
+    def body(machine):
+        region = machine.address_space.alloc_lines(600, "seq")
+        addrs = [region.line(i) for i in range(600)]
+        for enabled in (False, False, False, True, True, True, False, False):
+            machine.set_prefetcher(enabled)
+            machine.exec.load_list(addrs, True)
+    _assert_modes_agree(body)
+
+
+def test_list_replay_chain_overlapping_tcm():
+    """TCM addresses inside the chain bypass the caches; moving the TCM
+    window away between rounds must force a re-walk."""
+    def body(machine):
+        addrs = _chain(machine, 400, "chain")
+        first = min(addrs)
+        machine.hierarchy.tcm_region = Region(
+            base=first + 100 * 64, size=32 * 64, label="tcm")
+        for _ in range(4):
+            machine.exec.load_list(addrs, True)
+        machine.hierarchy.tcm_region = None
+        for _ in range(3):
+            machine.exec.load_list(addrs, True)
+    assert _assert_modes_agree(body).list_replays >= 3
+
+
+def test_list_replay_with_dirty_lines_resident():
+    """Store-dirtied chain lines write back as the first rounds evict
+    them; rounds with write-backs are never accepted as fixed points."""
+    def body(machine):
+        addrs = _chain(machine, 2000, "chain")
+        for a in addrs[::7]:
+            machine.store(a)
+        for _ in range(5):
+            machine.exec.load_list(addrs, True)
+        machine.store(addrs[3])
+        for _ in range(4):
+            machine.exec.load_list(addrs, True)
+    ex = _assert_modes_agree(body)
+    assert ex.list_replays >= 1
+
+
+def test_list_replay_falls_back_on_non_dyadic_prices():
+    """A DRAM latency off the 2**-8 grid makes float sums order
+    dependent, so no round may be replayed."""
+    base = tiny_intel()
+    config = dataclasses.replace(
+        base, timing=dataclasses.replace(base.timing, dram_lat_ns=60.1))
+
+    def body(machine):
+        addrs = _chain(machine, 12000, "chain")
+        for _ in range(5):
+            machine.exec.load_list(addrs, True)
+    ex = _assert_modes_agree(body, config)
+    assert ex.list_replays == 0
+    assert ex.list_verify_failed == {"inexact": 4}
+
+
+def test_list_memo_cleared_by_exec_mode_round_trip():
+    """Reference-mode loads evict the chain without bumping the
+    mutation epoch; switching back to batched must not replay."""
+    def body(machine):
+        mode = machine.exec_mode
+        addrs = _chain(machine, 24, "chain")
+        thrash = machine.address_space.alloc_lines(64, "thrash")
+        for _ in range(3):
+            machine.exec.load_list(addrs, True)
+        # Evict the chain with per-op reference loads.
+        machine.set_exec_mode("reference")
+        machine.scan_lines(thrash.base, 64)
+        machine.set_exec_mode(mode)
+        for _ in range(3):
+            machine.exec.load_list(addrs, True)
+    _assert_modes_agree(body)
 
 
 def test_exec_mode_knob():

@@ -1,0 +1,61 @@
+"""The headline figures in docs/performance.md match BENCH_simperf.json.
+
+The prose quotes the committed bench baseline; this test parses each
+quoted figure and compares it with the baseline at the precision the
+prose uses, so regenerating the baseline without updating the doc (or
+the other way round) fails by name.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def doc() -> str:
+    return (ROOT / "docs" / "performance.md").read_text()
+
+
+@pytest.fixture(scope="module")
+def bench() -> dict:
+    return json.loads((ROOT / "BENCH_simperf.json").read_text())
+
+
+def _find(pattern: str, text: str) -> re.Match:
+    match = re.search(pattern, text)
+    assert match is not None, f"figure not found in docs/performance.md: {pattern}"
+    return match
+
+
+def test_serve_engine_speedup(doc, bench):
+    engine = bench["serve"]["engine"]
+    quoted = _find(r"that is a \*\*(\d+)×\*\* end-to-end speedup", doc)
+    assert int(quoted.group(1)) == round(engine["speedup"])
+
+
+def test_serve_engine_table_row(doc, bench):
+    engine = bench["serve"]["engine"]
+    row = _find(r"\| serve requests/sec, points mix \(`serve\.engine`[^|]*"
+                r"\| (\d+) req/s \| (\d+) req/s \| \*\*(\d+)×\*\* \|", doc)
+    assert int(row.group(1)) == round(engine["reference"]["requests_per_s"])
+    assert int(row.group(2)) == round(engine["batched"]["requests_per_s"])
+    assert int(row.group(3)) == round(engine["speedup"])
+
+
+def test_serve_scale_run(doc, bench):
+    scale = bench["serve_scale"]
+    quoted = _find(r"The full run completes in ([\d.]+) s \(~(\d+)\s+"
+                   r"requests/s", doc)
+    assert float(quoted.group(1)) == round(scale["wall_s"], 1)
+    assert int(quoted.group(2)) == round(scale["requests_per_s"], -1)
+
+
+def test_serve_tpch_speedup(doc, bench):
+    quoted = _find(r"committed\s+baseline: ([\d.]+)×", doc)
+    assert float(quoted.group(1)) == bench["serve"]["tpch"]["speedup"]
