@@ -394,23 +394,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _serve_config(args, **extra):
-    from repro.serve import ServeConfig
-
-    return ServeConfig(
-        workload=args.workload,
-        policy=args.policy,
-        dvfs=args.dvfs,
+def _run_kwargs(args) -> dict:
+    """Config keywords shared by serve and cluster runs
+    (:class:`~repro.serve.loop.RunConfig`); the breaker flags exist
+    only on ``chaos``, so plain ``serve`` keeps the config defaults."""
+    return dict(
         mode=args.mode,
         clients=args.clients,
         queries=args.queries,
         tenants=args.tenants,
-        cores=args.cores,
-        mpl=args.mpl,
-        quantum_rows=args.quantum_rows,
-        max_queue=args.max_queue,
-        tenant_quota=args.tenant_quota,
-        queue_timeout_s=args.queue_timeout,
         rate_qps=args.rate,
         think_s=args.think,
         seed=args.seed,
@@ -418,7 +410,28 @@ def _serve_config(args, **extra):
         setting=args.setting,
         tier=args.tier,
         scale=args.scale,
-        exec_mode=getattr(args, "exec_mode", "batched"),
+        exec_mode=args.exec_mode,
+        breaker_threshold=getattr(args, "breaker_threshold", None),
+        breaker_window=getattr(args, "breaker_window", 16),
+        breaker_cooloff_s=getattr(args, "breaker_cooloff", 0.1),
+        degrade_keep_tenants=getattr(args, "keep_tenants", 1),
+    )
+
+
+def _serve_config(args, **extra):
+    from repro.serve import ServeConfig
+
+    return ServeConfig(
+        **_run_kwargs(args),
+        workload=args.workload,
+        policy=args.policy,
+        dvfs=args.dvfs,
+        cores=args.cores,
+        mpl=args.mpl,
+        quantum_rows=args.quantum_rows,
+        max_queue=args.max_queue,
+        tenant_quota=args.tenant_quota,
+        queue_timeout_s=args.queue_timeout,
         telemetry=args.telemetry,
         exemplar_rate=args.exemplar_rate,
         reservoir_size=args.reservoir_size,
@@ -428,37 +441,22 @@ def _serve_config(args, **extra):
     )
 
 
-def _cluster_config(args, faults=None):
+def _cluster_config(args, **extra):
     from repro.cluster import ClusterConfig
 
     return ClusterConfig(
+        **_run_kwargs(args),
         nodes=args.nodes,
         replication=args.replication,
-        mode=args.mode,
-        clients=args.clients,
-        queries=args.queries,
-        tenants=args.tenants,
-        rate_qps=args.rate,
-        think_s=args.think,
-        seed=args.seed,
-        engine=args.engine,
-        setting=args.setting,
-        tier=args.tier,
-        scale=args.scale,
-        exec_mode=getattr(args, "exec_mode", "batched"),
         net_latency_s=args.net_latency,
         net_bytes_per_s=args.net_bandwidth,
-        faults=faults,
         subreq_timeout_s=args.subreq_timeout,
         failover_attempts=args.failover_attempts,
         failover_backoff_s=args.failover_backoff,
         hedge_quantile=args.hedge_quantile,
         hedge_min_samples=args.hedge_min_samples,
         allow_partial=not args.no_partial,
-        breaker_threshold=getattr(args, "breaker_threshold", None),
-        breaker_window=getattr(args, "breaker_window", 16),
-        breaker_cooloff_s=getattr(args, "breaker_cooloff", 0.1),
-        degrade_keep_tenants=getattr(args, "keep_tenants", 1),
+        **extra,
     )
 
 
@@ -473,30 +471,33 @@ def _emit_report(report: dict, out) -> None:
         print(text)
 
 
-def cmd_serve(args) -> int:
+def _run(config, emit: bool, out, summary) -> None:
+    """Run a serve or cluster config, write its JSON report to ``out``
+    (stdout when None) if ``emit``, and print the one-screen summary to
+    ``summary`` (None = no summary).  Host wall time feeds the summary's
+    engine line only; it never enters the JSON report."""
     import time
 
+    from repro.cluster import ClusterConfig, render_cluster_summary, run_cluster
     from repro.serve import render_serve_summary, run_serve
 
-    if args.cluster:
-        from repro.cluster import render_cluster_summary, run_cluster
-
-        start = time.perf_counter()
-        report = run_cluster(_cluster_config(args))
-        elapsed_s = time.perf_counter() - start
-        _emit_report(report, args.out)
-        print(render_cluster_summary(report, elapsed_s=elapsed_s),
-              file=sys.stderr)
-        return 0
+    cluster = isinstance(config, ClusterConfig)
     start = time.perf_counter()
-    report = run_serve(_serve_config(args))
+    report = (run_cluster if cluster else run_serve)(config)
     elapsed_s = time.perf_counter() - start
-    _emit_report(report, args.out)
-    # The one-screen text summary goes to stderr so piping the JSON
-    # report from stdout stays clean.  Host wall time feeds the
-    # throughput line only; it never enters the JSON report.
-    print(render_serve_summary(report, elapsed_s=elapsed_s), file=sys.stderr)
-    if args.timeline_out:
+    if emit:
+        _emit_report(report, out)
+    if summary is not None:
+        render = render_cluster_summary if cluster else render_serve_summary
+        print(render(report, elapsed_s=elapsed_s), file=summary)
+
+
+def cmd_serve(args) -> int:
+    config = _cluster_config(args) if args.cluster else _serve_config(args)
+    # The summary goes to stderr so piping the JSON report from stdout
+    # stays clean.
+    _run(config, emit=True, out=args.out, summary=sys.stderr)
+    if args.timeline_out and not args.cluster:
         print(f"wrote {args.timeline_out}", file=sys.stderr)
     return 0
 
@@ -550,69 +551,27 @@ _CHAOS_FLAG_FIELDS = (
 
 def cmd_chaos(args) -> int:
     from repro.faults import FaultPlan
-    from repro.serve import run_serve
 
     plan_kwargs = dict(CHAOS_SCENARIOS[args.scenario])
     for dest, field in _CHAOS_FLAG_FIELDS:
         value = getattr(args, dest)
         if value is not None:
             plan_kwargs[field] = value
+    faults = FaultPlan(**plan_kwargs)
     if args.cluster or args.scenario in _CLUSTER_SCENARIOS:
-        import time
-
-        from repro.cluster import render_cluster_summary, run_cluster
-
-        config = _cluster_config(args, faults=FaultPlan(**plan_kwargs))
-        start = time.perf_counter()
-        report = run_cluster(config)
-        elapsed_s = time.perf_counter() - start
-        if args.json or args.out:
-            _emit_report(report, args.out)
-        if not args.json:
-            print(render_cluster_summary(report, elapsed_s=elapsed_s))
-        return 0
-    config = _serve_config(
-        args,
-        faults=FaultPlan(**plan_kwargs),
-        retries=args.retries,
-        retry_backoff_s=args.retry_backoff,
-        retry_jitter=args.retry_jitter,
-        retry_budget=args.retry_budget,
-        deadline_s=args.deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window=args.breaker_window,
-        breaker_cooloff_s=args.breaker_cooloff,
-        degrade_keep_tenants=args.keep_tenants,
-    )
-    report = run_serve(config)
-    if args.json or args.out:
-        _emit_report(report, args.out)
-    if not args.json:
-        counts = report["counts"]
-        resilience = report["resilience"]
-        energy = report["energy"]
-        print(f"chaos run: scenario={args.scenario} seed={args.seed}")
-        print(f"  requests: {counts['issued']} issued, "
-              f"{counts['completed']} completed, {counts['failed']} failed, "
-              f"{counts['deadline_exceeded']} past deadline, "
-              f"{counts['shed_degraded']} shed degraded")
-        injected = resilience["faults_injected"]
-        fault_text = (", ".join(f"{site}={n}"
-                                for site, n in injected.items())
-                      or "none")
-        print(f"  faults injected: {fault_text}")
-        print(f"  retries spent: {resilience['retries_spent']}, "
-              f"breaker trips: {resilience['breaker_trips']}, "
-              f"core stalls: {resilience['core_stalls']}, "
-              f"disk read retries: {resilience['disk_read_retries']}")
-        active = energy["active_energy_j"]
-        wasted = energy["wasted_energy_j"]
-        share = 100.0 * wasted / active if active > 0 else 0.0
-        print(f"  energy: {energy['useful_energy_j']:.4e} J useful + "
-              f"{wasted:.4e} J wasted = {active:.4e} J active "
-              f"({share:.1f}% wasted)")
-        for reason, joules in energy["wasted_by_reason_j"].items():
-            print(f"    wasted[{reason}]: {joules:.4e} J")
+        config = _cluster_config(args, faults=faults)
+    else:
+        config = _serve_config(
+            args,
+            faults=faults,
+            retries=args.retries,
+            retry_backoff_s=args.retry_backoff,
+            retry_jitter=args.retry_jitter,
+            retry_budget=args.retry_budget,
+            deadline_s=args.deadline,
+        )
+    _run(config, emit=bool(args.json or args.out), out=args.out,
+         summary=None if args.json else sys.stdout)
     return 0
 
 

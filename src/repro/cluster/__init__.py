@@ -22,7 +22,6 @@ from repro.cluster.coordinator import DEGRADED_PARTIAL, ClusterCoordinator
 from repro.cluster.report import (
     CLUSTER_SCHEMA_VERSION,
     build_cluster_report,
-    cluster_energy_split,
     render_cluster_summary,
 )
 from repro.cluster.topology import (
@@ -42,12 +41,9 @@ from repro.db.sharding import (
     shard_scan,
     shard_table_name,
 )
-from repro.faults import FaultInjector
 from repro.micro.measurement import measure_background
 from repro.obs import Tracer
 from repro.seeding import derive_seed, require_seed
-from repro.serve.drivers import make_driver
-from repro.serve.resilience import CircuitBreaker
 from repro.sim.network import NetworkModel
 from repro.workloads.tpch import TpchData
 
@@ -62,7 +58,6 @@ __all__ = [
     "ShardMap",
     "build_cluster_report",
     "build_nodes",
-    "cluster_energy_split",
     "cluster_jobs",
     "cluster_mix",
     "load_sharded",
@@ -102,13 +97,7 @@ def run_cluster(config: ClusterConfig, out: dict | None = None) -> dict:
     data = TpchData(config.tier,
                     seed=derive_seed(seed, "cluster", "tpch-datagen"))
     load_sharded(nodes, shard_map, data)
-    injector = None
-    if config.faults is not None and config.faults.any_enabled:
-        injector = FaultInjector(
-            config.faults,
-            seed=derive_seed(seed, "faults"),
-            metrics=coord.metrics,
-        )
+    injector = config.make_injector(seed, coord.metrics)
     machines = {"coord": coord}
     for node in nodes:
         machines[node.name] = node.machine
@@ -120,16 +109,8 @@ def run_cluster(config: ClusterConfig, out: dict | None = None) -> dict:
         injector=injector,
     )
     specs = cluster_jobs(shard_map)
-    mix = cluster_mix(specs, shard_map, config.clients)
-    driver = make_driver(
-        config.mode, mix,
-        n_clients=config.clients,
-        n_queries=config.queries,
-        seed=seed,
-        tenants=config.tenants,
-        rate_qps=config.rate_qps,
-        think_s=config.think_s,
-    )
+    driver = config.make_driver(
+        cluster_mix(specs, shard_map, config.clients), seed)
     backgrounds = {name: measure_background(machines[name])
                    for name in sorted(machines)}
     if injector is not None:
@@ -141,14 +122,7 @@ def run_cluster(config: ClusterConfig, out: dict | None = None) -> dict:
         for node in nodes:
             node.machine.fault_injector = injector
             node.machine.disk.injector = injector
-    breaker = None
-    if config.breaker_threshold is not None:
-        breaker = CircuitBreaker(
-            config.breaker_threshold,
-            window=config.breaker_window,
-            cooloff_s=config.breaker_cooloff_s,
-            metrics=coord.metrics,
-        )
+    breaker = config.make_breaker(coord.metrics)
     coordinator = ClusterCoordinator(
         config, coord, nodes, network, shard_map, specs, driver, seed,
         injector=injector, breaker=breaker,

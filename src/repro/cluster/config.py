@@ -6,37 +6,29 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.faults import FaultPlan
+from repro.serve.loop import RunConfig
 
 
 @dataclass
-class ClusterConfig:
+class ClusterConfig(RunConfig):
     """Everything that parameterises one scatter-gather cluster run.
 
-    Workload shape mirrors :class:`~repro.serve.loop.ServeConfig` (the
-    same drivers generate arrivals); the cluster adds topology (nodes,
-    replication), the network model, and the coordinator's resilience
-    knobs (sub-request timeout, bounded failover, hedging, partial
-    results, circuit breaker).
+    Workload shape, machine, fault plan and circuit breaker come from
+    :class:`~repro.serve.loop.RunConfig` (the same drivers generate
+    arrivals as in :mod:`repro.serve`); the cluster adds topology
+    (nodes, replication), the network model, and the coordinator's
+    resilience knobs (sub-request timeout, bounded failover, hedging,
+    partial results).  The breaker watches sub-request outcomes.
     """
 
+    # --- workload defaults sized for a cluster ---
+    clients: int = 8
+    queries: int = 80
+    rate_qps: float = 200.0
     # --- topology ---
     nodes: int = 4
     #: Replicas per shard (1 = no redundancy, no failover possible).
     replication: int = 2
-    # --- workload (driver-compatible with repro.serve) ---
-    mode: str = "closed"
-    clients: int = 8
-    queries: int = 80
-    tenants: int = 2
-    rate_qps: float = 200.0
-    think_s: float = 0.0
-    seed: int = 0
-    engine: str = "postgresql"
-    setting: str = "baseline"
-    tier: str = "10MB"
-    scale: int = 16
-    exec_mode: str = "batched"
     # --- network ---
     #: Base per-link propagation latency (each link draws ±20% once).
     net_latency_s: float = 2e-4
@@ -46,7 +38,6 @@ class ClusterConfig:
     #: used by the single-node-equivalence tests).
     net_payload_factor: float = 1.0
     # --- resilience ---
-    faults: Optional[FaultPlan] = None
     #: Coordinator-side timeout per sub-request attempt.
     subreq_timeout_s: float = 0.05
     #: Max attempts per sub-request, first try included.
@@ -61,14 +52,9 @@ class ClusterConfig:
     #: Complete with partial results when a shard is unreachable
     #: (degraded_partial) instead of failing the whole request.
     allow_partial: bool = True
-    #: Circuit breaker over sub-request outcomes (None = no breaker).
-    breaker_threshold: Optional[float] = None
-    breaker_window: int = 16
-    breaker_cooloff_s: float = 0.1
-    #: Tenants (by index) still served while the breaker is open.
-    degrade_keep_tenants: int = 1
 
     def validate(self) -> "ClusterConfig":
+        super().validate()
         if self.nodes < 1:
             raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
         if not 1 <= self.replication <= self.nodes:
@@ -76,20 +62,12 @@ class ClusterConfig:
                 f"replication must be in [1, nodes={self.nodes}], "
                 f"got {self.replication}"
             )
-        if self.clients < 1:
-            raise ConfigError(f"clients must be >= 1, got {self.clients}")
-        if self.queries < 1:
-            raise ConfigError(f"queries must be >= 1, got {self.queries}")
-        if self.tenants < 1:
-            raise ConfigError(f"tenants must be >= 1, got {self.tenants}")
         if self.net_latency_s < 0:
             raise ConfigError("net_latency_s must be >= 0")
         if self.net_bytes_per_s <= 0:
             raise ConfigError("net_bytes_per_s must be positive")
         if self.net_payload_factor < 0:
             raise ConfigError("net_payload_factor must be >= 0")
-        if self.faults is not None:
-            self.faults.validate()
         if self.subreq_timeout_s <= 0:
             raise ConfigError("subreq_timeout_s must be positive")
         if self.failover_attempts < 1:
@@ -106,17 +84,4 @@ class ClusterConfig:
             )
         if self.hedge_min_samples < 1:
             raise ConfigError("hedge_min_samples must be >= 1")
-        if self.breaker_threshold is not None and not (
-            0.0 < self.breaker_threshold <= 1.0
-        ):
-            raise ConfigError(
-                f"breaker_threshold must be in (0, 1], "
-                f"got {self.breaker_threshold}"
-            )
-        if self.breaker_window < 1:
-            raise ConfigError("breaker_window must be >= 1")
-        if self.breaker_cooloff_s <= 0:
-            raise ConfigError("breaker_cooloff_s must be positive")
-        if self.degrade_keep_tenants < 1:
-            raise ConfigError("degrade_keep_tenants must be >= 1")
         return self

@@ -1,6 +1,8 @@
-"""Cluster-run accounting: the scatter-gather report and energy split.
+"""Cluster-run accounting: the scatter-gather report.
 
-Same two properties as :mod:`repro.serve.report`, cluster-wide:
+Built from the same pieces as :mod:`repro.serve.report` (one energy
+split, one state counter, one per-request fold, one set of summary
+lines), with the same two properties, cluster-wide:
 
 * **Determinism** — the report is a pure function of the config, so two
   runs with the same seed produce byte-identical JSON, across
@@ -19,17 +21,21 @@ Same two properties as :mod:`repro.serve.report`, cluster-wide:
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.cluster.coordinator import (
-    DEGRADED_PARTIAL,
-    ClusterCoordinator,
-    ClusterRequest,
+from repro.cluster.coordinator import DEGRADED_PARTIAL, ClusterCoordinator
+from repro.serve.loop import BREAKER_FIELDS, RUN_FIELDS
+from repro.serve.report import (
+    counts_line,
+    energy_split,
+    engine_line,
+    fmt,
+    latency_summary,
+    quantiles_line,
+    request_energy,
+    resilience_line,
+    state_counts,
+    waste_line,
 )
-from repro.serve.report import WASTE_KEYS, latency_summary, percentile
 from repro.serve.request import COMPLETED, FAILED, SHED_DEGRADED
-
-PERCENTILES = (50, 95, 99)
 
 #: Version stamp on every cluster report.
 CLUSTER_SCHEMA_VERSION = 1
@@ -38,87 +44,21 @@ CLUSTER_SCHEMA_VERSION = 1
 #: their winning attempts is useful).
 DELIVERED_STATES = (COMPLETED, DEGRADED_PARTIAL)
 
+#: Terminal states a cluster request can end in, in report order.
+CLUSTER_STATES = (COMPLETED, DEGRADED_PARTIAL, FAILED, SHED_DEGRADED)
 
-def _meta_order(key: tuple) -> tuple:
-    return tuple((v is None, str(v)) for v in key)
 
-
-def cluster_energy_split(traces: dict, requests: Sequence[ClusterRequest],
-                         attempt_outcomes: dict) -> dict:
-    """Split every machine's Active energy into useful vs wasted joules.
-
-    ``traces`` maps machine name -> :class:`~repro.obs.span.Trace`.
-    Classification, per span-meta group ``(request, attempt, wasted)``:
-
-    * request not delivered (failed / shed): every joule it touched is
-      wasted under its terminal state;
-    * request delivered but the attempt lost (hedge loser, failover
-      duplicate, crashed node's partial work, message lost on the
-      wire, timed-out straggler): wasted under the coordinator's
-      recorded reason for that attempt;
-    * spans tagged ``wasted`` (e.g. straggler stalls): wasted under the
-      tag;
-    * everything else — winning attempts, merges, untagged system work
-      (idle, background, data load) — is useful.
-    """
-    state_of = {r.request_id: r.state for r in requests}
-    useful_j = 0.0
-    wasted_j = 0.0
-    by_reason: dict = {}
-    per_machine: dict = {}
-    for name in sorted(traces):
-        trace = traces[name]
-        groups = trace.active_energy_by_metas(WASTE_KEYS)
-        m_useful = 0.0
-        m_wasted = 0.0
-        for key in sorted(groups, key=_meta_order):
-            req, attempt, tag = key
-            joules = groups[key]
-            reason = None
-            if req is not None:
-                state = state_of.get(req)
-                if state not in DELIVERED_STATES:
-                    reason = state or "unknown"
-                elif attempt is not None and attempt in attempt_outcomes:
-                    reason = attempt_outcomes[attempt]
-                elif tag is not None:
-                    reason = tag
-            elif tag is not None:
-                reason = tag
-            if reason is None:
-                m_useful += joules
-            else:
-                m_wasted += joules
-                by_reason[reason] = by_reason.get(reason, 0.0) + joules
-        useful_j += m_useful
-        wasted_j += m_wasted
-        per_machine[name] = {"useful_j": m_useful, "wasted_j": m_wasted}
+def _machine_section(split: dict, machine, **extra) -> dict:
+    """One machine's energy split and clock, plus ``extra`` fields."""
     return {
-        "useful_j": useful_j,
-        "wasted_j": wasted_j,
-        "by_reason_j": dict(sorted(by_reason.items())),
-        "per_machine": per_machine,
+        "active_j": split["useful_j"] + split["wasted_j"],
+        "useful_j": split["useful_j"],
+        "wasted_j": split["wasted_j"],
+        "wall_s": machine.time_s,
+        "busy_s": machine.busy_s,
+        "idle_s": machine.idle_s,
+        **extra,
     }
-
-
-def _counts(requests: Sequence[ClusterRequest]) -> dict:
-    counts = {
-        "issued": len(requests),
-        "completed": 0,
-        "degraded_partial": 0,
-        "failed": 0,
-        "shed_degraded": 0,
-    }
-    for request in requests:
-        if request.state == COMPLETED:
-            counts["completed"] += 1
-        elif request.state == DEGRADED_PARTIAL:
-            counts["degraded_partial"] += 1
-        elif request.state == FAILED:
-            counts["failed"] += 1
-        elif request.state == SHED_DEGRADED:
-            counts["shed_degraded"] += 1
-    return counts
 
 
 def build_cluster_report(config, coordinator: ClusterCoordinator,
@@ -132,8 +72,9 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
     delivered = [r for r in requests if r.state in DELIVERED_STATES]
     latencies = [r.latency_s for r in delivered]
 
-    split = cluster_energy_split(traces, requests,
-                                 coordinator.attempt_outcomes)
+    outcomes = coordinator.attempt_outcomes
+    split = energy_split(traces, requests, DELIVERED_STATES,
+                         lambda _req, attempt: outcomes.get(attempt))
     node_active_sum_j = sum(traces[name].total_active_j
                             for name in sorted(traces))
     n_delivered = len(delivered)
@@ -141,49 +82,17 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
     energy_per_query_j = (active_energy_j / n_delivered
                           if n_delivered else None)
 
-    # Per-request energy: one partition per machine, folded by request
-    # id in sorted machine order so the sums are deterministic floats.
-    per_request: dict = {}
-    for name in sorted(traces):
-        by_request = traces[name].active_energy_by_meta("request")
-        by_request.pop(None, None)
-        for rid in sorted(by_request):
-            per_request[rid] = per_request.get(rid, 0.0) + by_request[rid]
-    request_joules = [per_request[k] for k in sorted(per_request)]
-    request_energy = {
-        "n": len(request_joules),
-        "mean_j": (sum(request_joules) / len(request_joules)
-                   if request_joules else None),
+    per_machine = split["per_machine"]
+    nodes_section = {
+        node.name: _machine_section(
+            per_machine[node.name], node.machine,
+            subreqs_served=node.subreqs_served,
+            crashes=node.crashes,
+            slowdowns=node.slowdowns,
+        )
+        for node in coordinator.nodes
     }
-    for p in PERCENTILES:
-        request_energy[f"p{p}_j"] = percentile(request_joules, p)
-
-    nodes_section: dict = {}
-    for node in coordinator.nodes:
-        machine_split = split["per_machine"][node.name]
-        nodes_section[node.name] = {
-            "active_j": (machine_split["useful_j"]
-                         + machine_split["wasted_j"]),
-            "useful_j": machine_split["useful_j"],
-            "wasted_j": machine_split["wasted_j"],
-            "wall_s": node.machine.time_s,
-            "busy_s": node.machine.busy_s,
-            "idle_s": node.machine.idle_s,
-            "subreqs_served": node.subreqs_served,
-            "crashes": node.crashes,
-            "slowdowns": node.slowdowns,
-        }
-    coord_split = split["per_machine"]["coord"]
     coord_machine = coordinator.machine
-    coord_section = {
-        "active_j": coord_split["useful_j"] + coord_split["wasted_j"],
-        "useful_j": coord_split["useful_j"],
-        "wasted_j": coord_split["wasted_j"],
-        "wall_s": coord_machine.time_s,
-        "busy_s": coord_machine.busy_s,
-        "idle_s": coord_machine.idle_s,
-    }
-
     makespan_s = max(
         [coord_machine.time_s]
         + [node.machine.time_s for node in coordinator.nodes]
@@ -191,38 +100,12 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
 
     report = {
         "schema_version": CLUSTER_SCHEMA_VERSION,
-        "config": {
-            "nodes": config.nodes,
-            "replication": config.replication,
-            "mode": config.mode,
-            "clients": config.clients,
-            "queries": config.queries,
-            "tenants": config.tenants,
-            "rate_qps": config.rate_qps,
-            "think_s": config.think_s,
-            "seed": config.seed,
-            "engine": config.engine,
-            "setting": config.setting,
-            "tier": config.tier,
-            "scale": config.scale,
-            "exec_mode": config.exec_mode,
-            "net_latency_s": config.net_latency_s,
-            "net_bytes_per_s": config.net_bytes_per_s,
-            "net_payload_factor": config.net_payload_factor,
-            "faults": (config.faults.as_dict()
-                       if config.faults is not None else None),
-            "subreq_timeout_s": config.subreq_timeout_s,
-            "failover_attempts": config.failover_attempts,
-            "failover_backoff_s": config.failover_backoff_s,
-            "hedge_quantile": config.hedge_quantile,
-            "hedge_min_samples": config.hedge_min_samples,
-            "allow_partial": config.allow_partial,
-            "breaker_threshold": config.breaker_threshold,
-            "breaker_window": config.breaker_window,
-            "breaker_cooloff_s": config.breaker_cooloff_s,
-            "degrade_keep_tenants": config.degrade_keep_tenants,
-        },
-        "counts": _counts(requests),
+        "config": config.report_fields(
+            "nodes", "replication", *RUN_FIELDS, "net_latency_s",
+            "net_bytes_per_s", "net_payload_factor", "subreq_timeout_s",
+            "failover_attempts", "failover_backoff_s", "hedge_quantile",
+            "hedge_min_samples", "allow_partial", *BREAKER_FIELDS),
+        "counts": state_counts(requests, CLUSTER_STATES),
         "latency_s": latency_summary(latencies),
         "subrequests": {
             "sent": coordinator.subreqs_sent,
@@ -241,9 +124,9 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
             "node_active_sum_j": node_active_sum_j,
             "wasted_by_reason_j": split["by_reason_j"],
             "energy_per_query_j": energy_per_query_j,
-            "request_energy_j": request_energy,
+            "request_energy_j": request_energy(traces),
         },
-        "coordinator": coord_section,
+        "coordinator": _machine_section(per_machine["coord"], coord_machine),
         "nodes": nodes_section,
         "network": {
             "messages": network.messages,
@@ -272,48 +155,28 @@ def render_cluster_summary(report: dict,
                            elapsed_s: float | None = None) -> str:
     """Human-readable one-screen summary of a cluster report."""
     cfg = report["config"]
-    counts = report["counts"]
-    latency = report["latency_s"]
     energy = report["energy"]
     subreqs = report["subrequests"]
     resilience = report["resilience"]
-
-    def fmt(value, unit: str, precision: str = ".4g") -> str:
-        return "n/a" if value is None else f"{value:{precision}} {unit}"
-
     lines = [
         f"cluster: nodes={cfg['nodes']} rf={cfg['replication']} "
         f"queries={cfg['queries']} clients={cfg['clients']} "
         f"seed={cfg['seed']}",
-        "counts: " + "  ".join(
-            f"{key}={value}" for key, value in counts.items()
-        ),
+        counts_line(report["counts"]),
         f"subrequests: sent={subreqs['sent']}  "
         f"hedged={subreqs['hedges']} (won {subreqs['hedge_wins']})  "
         f"failovers={subreqs['failovers']}  "
         f"timeouts={subreqs['timeouts']}  "
         f"shed={resilience['shed_degraded']}",
-        f"latency: p50={fmt(latency['p50_s'], 's')}  "
-        f"p95={fmt(latency['p95_s'], 's')}  "
-        f"p99={fmt(latency['p99_s'], 's')}  "
-        f"mean={fmt(latency['mean_s'], 's')}",
+        quantiles_line("latency", report["latency_s"], "s"),
         f"energy: active={energy['active_energy_j']:.4g} J "
         f"({energy['domain']})  "
         f"per-query={fmt(energy['energy_per_query_j'], 'J')}  "
         f"makespan={report['clock']['makespan_s']:.4g} s",
+        waste_line(energy),
+        resilience_line(resilience),
     ]
-    reasons = ", ".join(
-        f"{reason}={joules:.3g} J" for reason, joules in
-        list(energy["wasted_by_reason_j"].items())[:6]
-    ) or "none"
-    lines.append(
-        f"waste: useful={energy['useful_energy_j']:.4g} J  "
-        f"wasted={energy['wasted_energy_j']:.4g} J  "
-        f"reasons: {reasons}"
-    )
     if elapsed_s is not None and elapsed_s > 0:
-        lines.append(
-            f"engine: mode={cfg['exec_mode']}  host={elapsed_s:.3f} s  "
-            f"events/s={report['clock']['events'] / elapsed_s:.1f}"
-        )
+        lines.append(engine_line(cfg, elapsed_s,
+                                 events=report["clock"]["events"]))
     return "\n".join(lines)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import Machine, intel_i7_4790
+from repro import Machine
 from repro.db import Database, engine_profile
 from repro.db.operators import AggSpec
 from repro.db.exprs import Col
 from repro.db.sharding import partition_rows, shard_aggregate, shard_table_name
-from repro.seeding import derive_seed
 from repro.serve.request import JobTemplate
 from repro.serve.workload import QueryMix
 from repro.workloads.tpch import TpchData
@@ -72,19 +71,11 @@ def build_nodes(config, seed: int) -> tuple[Machine, list[ClusterNode]]:
     ``("cluster", "node{i}", "machine-noise")`` so adding or removing
     nodes never perturbs another node's machine.
     """
-    coord = Machine(
-        intel_i7_4790(scale=config.scale),
-        seed=derive_seed(seed, "cluster", "coord", "machine-noise"),
-        exec_mode=config.exec_mode,
-    )
+    coord = config.make_machine(seed, "cluster", "coord")
     nodes = []
     for i in range(config.nodes):
         name = f"node{i}"
-        machine = Machine(
-            intel_i7_4790(scale=config.scale),
-            seed=derive_seed(seed, "cluster", name, "machine-noise"),
-            exec_mode=config.exec_mode,
-        )
+        machine = config.make_machine(seed, "cluster", name)
         db = Database(machine, engine_profile(config.engine, config.setting),
                       name=name)
         nodes.append(ClusterNode(name=name, machine=machine, db=db))

@@ -22,7 +22,6 @@ benchmarks use.
 
 from __future__ import annotations
 
-from repro import Machine, intel_i7_4790
 from repro.db import Database, engine_profile
 from repro.faults import FAULT_SITES, FaultInjector, FaultPlan
 from repro.micro.measurement import measure_background
@@ -111,18 +110,8 @@ def run_serve(config: ServeConfig) -> dict:
     """
     config.validate()
     seed = require_seed(config.seed, "serve")
-    machine = Machine(
-        intel_i7_4790(scale=config.scale),
-        seed=derive_seed(seed, "serve", "machine-noise"),
-        exec_mode=config.exec_mode,
-    )
-    injector = None
-    if config.faults is not None and config.faults.any_enabled:
-        injector = FaultInjector(
-            config.faults,
-            seed=derive_seed(seed, "faults"),
-            metrics=machine.metrics,
-        )
+    machine = config.make_machine(seed, "serve")
+    injector = config.make_injector(seed, machine.metrics)
     apply_dvfs(machine, config.dvfs, injector=injector)
     db = Database(machine, engine_profile(config.engine, config.setting),
                   name=config.engine)
@@ -132,16 +121,8 @@ def run_serve(config: ServeConfig) -> dict:
             config.tier,
             seed=derive_seed(seed, "serve", "tpch-datagen"),
         ))
-    mix = build_mix(config.workload, db, config.clients, seed)
-    driver = make_driver(
-        config.mode, mix,
-        n_clients=config.clients,
-        n_queries=config.queries,
-        seed=seed,
-        tenants=config.tenants,
-        rate_qps=config.rate_qps,
-        think_s=config.think_s,
-    )
+    driver = config.make_driver(
+        build_mix(config.workload, db, config.clients, seed), seed)
     background = measure_background(machine)
     core_set = CoreSet(machine, config.cores)
     if injector is not None:
@@ -168,14 +149,7 @@ def run_serve(config: ServeConfig) -> dict:
             budget=config.retry_budget,
             metrics=machine.metrics,
         )
-    breaker = None
-    if config.breaker_threshold is not None:
-        breaker = CircuitBreaker(
-            config.breaker_threshold,
-            window=config.breaker_window,
-            cooloff_s=config.breaker_cooloff_s,
-            metrics=machine.metrics,
-        )
+    breaker = config.make_breaker(machine.metrics)
     server = QueryServer(db, core_set, admission, policy, driver,
                          mpl=config.mpl, quantum_rows=config.quantum_rows,
                          injector=injector, retry=retry, breaker=breaker,

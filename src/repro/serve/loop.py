@@ -42,12 +42,19 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.config import intel_i7_4790
 from repro.db.engine import Database
 from repro.errors import ConfigError, DeadlineExceeded, FaultError
 from repro.faults import FaultInjector, FaultPlan
+from repro.seeding import derive_seed
 from repro.serve.admission import AdmissionController
-from repro.serve.drivers import Driver
-from repro.serve.policies import FifoPolicy, SchedulingPolicy
+from repro.serve.drivers import DRIVER_MODES, Driver, make_driver
+from repro.serve.policies import (
+    DVFS_MODES,
+    POLICIES,
+    FifoPolicy,
+    SchedulingPolicy,
+)
 from repro.serve.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -57,31 +64,37 @@ from repro.serve.request import (
     Request,
 )
 from repro.serve.resilience import CircuitBreaker, RetryManager
+from repro.serve.workload import MIXES
 from repro.sim.cores import Core, CoreSet
+from repro.sim.machine import Machine
 
 #: Span category carried by every quantum span.
 CATEGORY_QUANTUM = "serve.quantum"
 
 
-@dataclass
-class ServeConfig:
-    """Everything that parameterises one serve run."""
+#: :class:`RunConfig` fields every report echoes under ``config``: the
+#: workload shape and the machine ...
+RUN_FIELDS = ("mode", "clients", "queries", "tenants", "rate_qps", "think_s",
+              "seed", "engine", "setting", "tier", "scale", "exec_mode")
+#: ... and the fault plan and breaker (only in resilient serve reports).
+BREAKER_FIELDS = ("faults", "breaker_threshold", "breaker_window",
+                  "breaker_cooloff_s", "degrade_keep_tenants")
 
-    workload: str = "tpch"
-    policy: str = "fifo"
-    dvfs: str = "race"
+
+@dataclass
+class RunConfig:
+    """What serve and cluster runs share: the workload shape the drivers
+    consume, the simulated machine, the fault plan, and the circuit
+    breaker.  Subclasses restate a field only to change its default.
+
+    The ``make_*`` methods build the per-run objects these fields
+    describe, so both entry points construct them the same way.
+    """
+
     mode: str = "closed"
     clients: int = 4
     queries: int = 40
     tenants: int = 2
-    cores: int = 2
-    #: Multiprogramming level: run-list depth per core.
-    mpl: int = 2
-    #: Iterator pulls per scheduling quantum.
-    quantum_rows: int = 64
-    max_queue: int = 64
-    tenant_quota: Optional[int] = None
-    queue_timeout_s: Optional[float] = None
     #: Open-loop aggregate arrival rate (queries per simulated second).
     rate_qps: float = 50.0
     #: Closed-loop mean think time (simulated seconds).
@@ -96,10 +109,124 @@ class ServeConfig:
     #: Simulator execution engine ("batched" is bit-identical to
     #: "reference"; see repro.sim.batch).
     exec_mode: str = "batched"
-    # --- resilience / chaos (all default off; a plain serve run is
-    # byte-identical to one configured before these fields existed) ---
     #: Fault plan for chaos runs (None = no injection anywhere).
     faults: Optional[FaultPlan] = None
+    #: Breaker trips when the windowed failure rate reaches this
+    #: (None = no breaker).
+    breaker_threshold: Optional[float] = None
+    #: Sliding window of attempt outcomes the breaker looks at.
+    breaker_window: int = 16
+    #: Simulated seconds the breaker stays open once tripped.
+    breaker_cooloff_s: float = 0.1
+    #: Tenants (by index) still served while the breaker is open.
+    degrade_keep_tenants: int = 1
+
+    def validate(self) -> "RunConfig":
+        """Reject a bad config before any machine is built or data
+        loaded; subclasses extend this with their own fields."""
+        if self.mode not in DRIVER_MODES:
+            raise ConfigError(
+                f"unknown driver mode {self.mode!r}; known: {DRIVER_MODES}"
+            )
+        if self.clients < 1:
+            raise ConfigError(f"clients must be >= 1, got {self.clients}")
+        if self.queries < 1:
+            raise ConfigError(f"queries must be >= 1, got {self.queries}")
+        if self.tenants < 1:
+            raise ConfigError(f"tenants must be >= 1, got {self.tenants}")
+        if self.mode == "open" and self.rate_qps <= 0:
+            raise ConfigError(
+                f"rate_qps must be positive, got {self.rate_qps}"
+            )
+        if self.think_s < 0:
+            raise ConfigError(f"think_s must be >= 0, got {self.think_s}")
+        if self.faults is not None:
+            self.faults.validate()
+        if self.breaker_threshold is not None and not (
+            0.0 < self.breaker_threshold <= 1.0
+        ):
+            raise ConfigError(
+                f"breaker_threshold must be in (0, 1], "
+                f"got {self.breaker_threshold}"
+            )
+        if self.breaker_window < 1:
+            raise ConfigError(
+                f"breaker_window must be >= 1, got {self.breaker_window}"
+            )
+        if self.breaker_cooloff_s <= 0:
+            raise ConfigError(
+                f"breaker_cooloff_s must be positive, "
+                f"got {self.breaker_cooloff_s}"
+            )
+        if self.degrade_keep_tenants < 1:
+            raise ConfigError(
+                f"degrade_keep_tenants must be >= 1, "
+                f"got {self.degrade_keep_tenants}"
+            )
+        return self
+
+    def report_fields(self, *names: str) -> dict:
+        """The named fields as a report's ``config`` section echoes them
+        (the fault plan as a plain dict)."""
+        out = {name: getattr(self, name) for name in names}
+        if "faults" in out and self.faults is not None:
+            out["faults"] = self.faults.as_dict()
+        return out
+
+    def make_machine(self, seed: int, *path: str) -> Machine:
+        """A machine whose noise stream derives from ``path``."""
+        return Machine(
+            intel_i7_4790(scale=self.scale),
+            seed=derive_seed(seed, *path, "machine-noise"),
+            exec_mode=self.exec_mode,
+        )
+
+    def make_injector(self, seed: int, metrics) -> Optional[FaultInjector]:
+        """The run's fault source, or None when the plan arms nothing."""
+        if self.faults is None or not self.faults.any_enabled:
+            return None
+        return FaultInjector(self.faults, seed=derive_seed(seed, "faults"),
+                             metrics=metrics)
+
+    def make_driver(self, mix, seed: int) -> Driver:
+        return make_driver(
+            self.mode, mix,
+            n_clients=self.clients,
+            n_queries=self.queries,
+            seed=seed,
+            tenants=self.tenants,
+            rate_qps=self.rate_qps,
+            think_s=self.think_s,
+        )
+
+    def make_breaker(self, metrics) -> Optional[CircuitBreaker]:
+        if self.breaker_threshold is None:
+            return None
+        return CircuitBreaker(
+            self.breaker_threshold,
+            window=self.breaker_window,
+            cooloff_s=self.breaker_cooloff_s,
+            metrics=metrics,
+        )
+
+
+@dataclass
+class ServeConfig(RunConfig):
+    """Everything that parameterises one serve run."""
+
+    workload: str = "tpch"
+    policy: str = "fifo"
+    dvfs: str = "race"
+    cores: int = 2
+    #: Multiprogramming level: run-list depth per core.
+    mpl: int = 2
+    #: Iterator pulls per scheduling quantum.
+    quantum_rows: int = 64
+    max_queue: int = 64
+    tenant_quota: Optional[int] = None
+    queue_timeout_s: Optional[float] = None
+    # --- resilience / chaos (all default off; a plain serve run is
+    # byte-identical to one configured before these fields existed) ---
     #: Max retries per request after a failed attempt (0 = fail fast).
     retries: int = 0
     #: Base backoff before the first retry (doubles per failure).
@@ -110,15 +237,6 @@ class ServeConfig:
     retry_budget: Optional[int] = None
     #: Per-request execution deadline from arrival (None = none).
     deadline_s: Optional[float] = None
-    #: Breaker trips when the windowed failure rate reaches this
-    #: (None = no breaker).
-    breaker_threshold: Optional[float] = None
-    #: Sliding window of attempt outcomes the breaker looks at.
-    breaker_window: int = 16
-    #: Simulated seconds the breaker stays open once tripped.
-    breaker_cooloff_s: float = 0.1
-    #: Tenants (by index) still served while the breaker is open.
-    degrade_keep_tenants: int = 1
     # --- telemetry (default "full" keeps the pre-telemetry behaviour:
     # span tracer over the whole run, byte-identical reports) ---
     #: "full" = span tracer (exact per-span tree, unaffordable at
@@ -160,12 +278,19 @@ class ServeConfig:
                 or self.breaker_threshold is not None)
 
     def validate(self) -> "ServeConfig":
-        if self.clients < 1:
-            raise ConfigError(f"clients must be >= 1, got {self.clients}")
-        if self.queries < 1:
-            raise ConfigError(f"queries must be >= 1, got {self.queries}")
-        if self.tenants < 1:
-            raise ConfigError(f"tenants must be >= 1, got {self.tenants}")
+        super().validate()
+        if self.workload not in MIXES:
+            raise ConfigError(
+                f"unknown workload mix {self.workload!r}; known: {MIXES}"
+            )
+        if self.policy not in POLICIES:
+            raise ConfigError(
+                f"unknown policy {self.policy!r}; known: {POLICIES}"
+            )
+        if self.dvfs not in DVFS_MODES:
+            raise ConfigError(
+                f"unknown dvfs mode {self.dvfs!r}; known: {DVFS_MODES}"
+            )
         if self.cores < 1:
             raise ConfigError(f"cores must be >= 1, got {self.cores}")
         if self.mpl < 1:
@@ -174,8 +299,6 @@ class ServeConfig:
             raise ConfigError(
                 f"quantum_rows must be >= 1, got {self.quantum_rows}"
             )
-        if self.faults is not None:
-            self.faults.validate()
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
         if self.retry_backoff_s <= 0:
@@ -193,27 +316,6 @@ class ServeConfig:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigError(
                 f"deadline_s must be positive, got {self.deadline_s}"
-            )
-        if self.breaker_threshold is not None and not (
-            0.0 < self.breaker_threshold <= 1.0
-        ):
-            raise ConfigError(
-                f"breaker_threshold must be in (0, 1], "
-                f"got {self.breaker_threshold}"
-            )
-        if self.breaker_window < 1:
-            raise ConfigError(
-                f"breaker_window must be >= 1, got {self.breaker_window}"
-            )
-        if self.breaker_cooloff_s <= 0:
-            raise ConfigError(
-                f"breaker_cooloff_s must be positive, "
-                f"got {self.breaker_cooloff_s}"
-            )
-        if self.degrade_keep_tenants < 1:
-            raise ConfigError(
-                f"degrade_keep_tenants must be >= 1, "
-                f"got {self.degrade_keep_tenants}"
             )
         if self.telemetry not in ("full", "sampler", "off"):
             raise ConfigError(

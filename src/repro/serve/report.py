@@ -13,24 +13,30 @@ The report is a plain JSON-serialisable dict.  Two properties matter:
 
 Percentiles use the nearest-rank definition (no interpolation): the
 p-th percentile of n sorted samples is the ``ceil(p/100 * n)``-th.
+
+The energy split, state counts, per-request energy fold and summary
+lines take any set of machines, so :mod:`repro.cluster.report` builds
+its report from the same functions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.obs.span import Trace
-from repro.serve.loop import QueryServer, ServeConfig
+from repro.serve.loop import (
+    BREAKER_FIELDS,
+    RUN_FIELDS,
+    QueryServer,
+    ServeConfig,
+)
 from repro.serve.request import (
     COMPLETED,
-    DEADLINE_EXCEEDED,
-    FAILED,
     REJECTED_QUEUE,
     REJECTED_QUOTA,
-    SHED_DEGRADED,
     SHED_TIMEOUT,
-    Request,
+    TERMINAL_STATES,
 )
 
 PERCENTILES = (50, 95, 99)
@@ -42,6 +48,11 @@ SERVE_SCHEMA_VERSION = 1
 #: Span-meta keys the wasted-energy partition groups by.
 WASTE_KEYS = ("request", "attempt", "wasted")
 
+#: Terminal states a plain run counts; a resilient run counts all of
+#: :data:`~repro.serve.request.TERMINAL_STATES`, so a plain run's report
+#: is byte-identical to the pre-resilience server's.
+PLAIN_STATES = (COMPLETED, REJECTED_QUEUE, REJECTED_QUOTA, SHED_TIMEOUT)
+
 
 def percentile(samples: Sequence[float], p: float) -> Optional[float]:
     """Nearest-rank percentile; None on an empty sample set."""
@@ -52,99 +63,106 @@ def percentile(samples: Sequence[float], p: float) -> Optional[float]:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-def latency_summary(latencies: Sequence[float]) -> dict:
-    out: dict = {"n": len(latencies)}
-    out["mean_s"] = (sum(latencies) / len(latencies)) if latencies else None
+def _summary(samples: Sequence[float], unit: str) -> dict:
+    """Count, mean and percentiles; value keys end in ``_{unit}``."""
+    out: dict = {"n": len(samples)}
+    out[f"mean_{unit}"] = (sum(samples) / len(samples)) if samples else None
     for p in PERCENTILES:
-        out[f"p{p}_s"] = percentile(latencies, p)
+        out[f"p{p}_{unit}"] = percentile(samples, p)
     return out
 
 
-def _state_counts(requests: Sequence[Request],
-                  resilient: bool = False) -> dict:
-    counts = {
-        "issued": len(requests),
-        "completed": 0,
-        "rejected_queue": 0,
-        "rejected_quota": 0,
-        "shed_timeout": 0,
-    }
-    if resilient:
-        # Extra keys only in resilient runs, so a plain run's report is
-        # byte-identical to the pre-resilience server's.
-        counts["failed"] = 0
-        counts["deadline_exceeded"] = 0
-        counts["shed_degraded"] = 0
+def latency_summary(latencies: Sequence[float]) -> dict:
+    return _summary(latencies, "s")
+
+
+def state_counts(requests: Sequence, states: Sequence[str]) -> dict:
+    """``issued`` plus one count per terminal state in ``states``, in
+    that order; requests in any other state are not counted."""
+    counts = dict.fromkeys(states, 0)
     for request in requests:
-        if request.state == COMPLETED:
-            counts["completed"] += 1
-        elif request.state == REJECTED_QUEUE:
-            counts["rejected_queue"] += 1
-        elif request.state == REJECTED_QUOTA:
-            counts["rejected_quota"] += 1
-        elif request.state == SHED_TIMEOUT:
-            counts["shed_timeout"] += 1
-        elif resilient and request.state == FAILED:
-            counts["failed"] += 1
-        elif resilient and request.state == DEADLINE_EXCEEDED:
-            counts["deadline_exceeded"] += 1
-        elif resilient and request.state == SHED_DEGRADED:
-            counts["shed_degraded"] += 1
-    return counts
+        if request.state in counts:
+            counts[request.state] += 1
+    return {"issued": len(requests), **counts}
 
 
-def energy_split(trace: Trace, requests: Sequence[Request]) -> dict:
-    """Split the run's Active energy into useful vs wasted joules.
+def _meta_order(key: tuple) -> tuple:
+    return tuple((v is None, str(v)) for v in key)
 
-    Built on the exact multi-key span partition
-    (:meth:`~repro.obs.span.Trace.active_energy_by_metas`), so
-    ``useful_j + wasted_j`` equals the partition total *exactly* (it is
-    the same float sum, split two ways).  Classification:
 
-    * a request that ended FAILED or DEADLINE_EXCEEDED (or was rejected
-      or shed after burning attempts): every joule it touched is wasted
-      (reason = its terminal state);
-    * a request that COMPLETED at attempt N: attempts before N are
-      wasted (reason ``retried``); within the final attempt, spans
-      tagged ``wasted`` (fault handling: transient-read idle, page
-      repair, injected stalls) are wasted under that tag;
-    * untagged energy (idle gaps, scheduler work, data load if traced)
-      is useful — it is the cost of running the service, not of faults.
+def energy_split(traces: dict, requests: Sequence, delivered: Sequence[str],
+                 loser_reason: Callable[[object, object], Optional[str]],
+                 ) -> dict:
+    """Split every machine's Active energy into useful vs wasted joules.
+
+    ``traces`` maps machine name -> :class:`~repro.obs.span.Trace`.
+    Each machine's energy is partitioned by the span-meta keys
+    ``(request, attempt, wasted)``
+    (:meth:`~repro.obs.span.Trace.active_energy_by_metas`), so per
+    machine ``useful_j + wasted_j`` is exactly the partition total (one
+    float sum, split two ways).  Each group is classified by the first
+    rule that applies:
+
+    * its request did not end in a ``delivered`` state: wasted under
+      that terminal state;
+    * its request was delivered but ``loser_reason(request, attempt)``
+      names a reason for the attempt (a retried attempt, a hedge loser,
+      a crashed node's partial work, ...): wasted under that reason;
+    * its spans are tagged ``wasted`` (fault handling: transient-read
+      idle, page repair, injected stalls): wasted under the tag;
+    * otherwise — winning attempts, untagged system work such as idle
+      gaps and scheduling — useful, the cost of running the service.
     """
-    groups = trace.active_energy_by_metas(WASTE_KEYS)
     state_of = {r.request_id: r.state for r in requests}
-    final_attempt = {r.request_id: r.failures + 1 for r in requests}
-
-    def order(key: tuple) -> tuple:
-        return tuple((v is None, str(v)) for v in key)
-
     useful_j = 0.0
     wasted_j = 0.0
     by_reason: dict = {}
-    for key in sorted(groups, key=order):
-        req, attempt, tag = key
-        joules = groups[key]
-        reason = None
-        if req is not None:
-            state = state_of.get(req)
-            if state != COMPLETED:
-                reason = state or "unknown"
-            elif attempt is not None and attempt < final_attempt[req]:
-                reason = "retried"
-            elif tag is not None:
+    per_machine: dict = {}
+    for name in sorted(traces):
+        groups = traces[name].active_energy_by_metas(WASTE_KEYS)
+        m_useful = 0.0
+        m_wasted = 0.0
+        for key in sorted(groups, key=_meta_order):
+            req, attempt, tag = key
+            joules = groups[key]
+            reason = None
+            if req is not None:
+                state = state_of.get(req)
+                if state not in delivered:
+                    reason = state or "unknown"
+                elif attempt is not None:
+                    reason = loser_reason(req, attempt)
+            if reason is None:
                 reason = tag
-        elif tag is not None:
-            reason = tag
-        if reason is None:
-            useful_j += joules
-        else:
-            wasted_j += joules
-            by_reason[reason] = by_reason.get(reason, 0.0) + joules
+            if reason is None:
+                m_useful += joules
+            else:
+                m_wasted += joules
+                by_reason[reason] = by_reason.get(reason, 0.0) + joules
+        useful_j += m_useful
+        wasted_j += m_wasted
+        per_machine[name] = {"useful_j": m_useful, "wasted_j": m_wasted}
     return {
         "useful_j": useful_j,
         "wasted_j": wasted_j,
         "by_reason_j": dict(sorted(by_reason.items())),
+        "per_machine": per_machine,
     }
+
+
+def request_energy(traces: dict) -> dict:
+    """Count, mean and percentiles of per-request Active energy.
+
+    Each request's joules are folded over the machines in sorted name
+    order, so the sums are deterministic floats.
+    """
+    per_request: dict = {}
+    for name in sorted(traces):
+        by_request = traces[name].active_energy_by_meta("request")
+        by_request.pop(None, None)
+        for rid, joules in by_request.items():
+            per_request[rid] = per_request.get(rid, 0.0) + joules
+    return _summary([per_request[k] for k in sorted(per_request)], "j")
 
 
 def build_report(config: ServeConfig, server: QueryServer,
@@ -153,6 +171,7 @@ def build_report(config: ServeConfig, server: QueryServer,
     requests = server.requests
     machine = server.machine
     resilient = config.resilient
+    states = TERMINAL_STATES if resilient else PLAIN_STATES
     completed = [r for r in requests if r.state == COMPLETED]
     latencies = [r.latency_s for r in completed]
 
@@ -163,7 +182,8 @@ def build_report(config: ServeConfig, server: QueryServer,
     n_completed = len(completed)
     energy_per_query_j = (total_active_j / n_completed
                           if n_completed else None)
-    mean_latency = (sum(latencies) / len(latencies)) if latencies else None
+    latency = latency_summary(latencies)
+    mean_latency = latency["mean_s"]
     edp = (energy_per_query_j * mean_latency
            if energy_per_query_j is not None and mean_latency is not None
            else None)
@@ -183,24 +203,13 @@ def build_report(config: ServeConfig, server: QueryServer,
         t_latencies = [r.latency_s for r in t_completed]
         active_j = tenant_j.get(tenant, 0.0)
         tenants[tenant] = {
-            "counts": _state_counts(t_requests, resilient),
+            "counts": state_counts(t_requests, states),
             "latency_s": latency_summary(t_latencies),
             "active_j": active_j,
             "energy_per_query_j": (active_j / len(t_completed)
                                    if t_completed else None),
             "rows": sum(r.rows for r in t_completed),
         }
-
-    by_request = trace.active_energy_by_meta("request")
-    by_request.pop(None, None)
-    request_joules = [by_request[k] for k in sorted(by_request)]
-    request_energy = {
-        "n": len(request_joules),
-        "mean_j": (sum(request_joules) / len(request_joules)
-                   if request_joules else None),
-    }
-    for p in PERCENTILES:
-        request_energy[f"p{p}_j"] = percentile(request_joules, p)
 
     snapshot = machine.metrics.snapshot()
     serve_counters = {
@@ -211,31 +220,11 @@ def build_report(config: ServeConfig, server: QueryServer,
 
     report = {
         "schema_version": SERVE_SCHEMA_VERSION,
-        "config": {
-            "workload": config.workload,
-            "policy": config.policy,
-            "dvfs": config.dvfs,
-            "mode": config.mode,
-            "clients": config.clients,
-            "queries": config.queries,
-            "tenants": config.tenants,
-            "cores": config.cores,
-            "mpl": config.mpl,
-            "quantum_rows": config.quantum_rows,
-            "max_queue": config.max_queue,
-            "tenant_quota": config.tenant_quota,
-            "queue_timeout_s": config.queue_timeout_s,
-            "rate_qps": config.rate_qps,
-            "think_s": config.think_s,
-            "seed": config.seed,
-            "engine": config.engine,
-            "setting": config.setting,
-            "tier": config.tier,
-            "scale": config.scale,
-            "exec_mode": config.exec_mode,
-        },
-        "counts": _state_counts(requests, resilient),
-        "latency_s": latency_summary(latencies),
+        "config": config.report_fields(
+            "workload", "policy", "dvfs", *RUN_FIELDS, "cores", "mpl",
+            "quantum_rows", "max_queue", "tenant_quota", "queue_timeout_s"),
+        "counts": state_counts(requests, states),
+        "latency_s": latency,
         "tenants": tenants,
         "energy": {
             "domain": trace.domain,
@@ -245,7 +234,7 @@ def build_report(config: ServeConfig, server: QueryServer,
             "check_sum_j": system_j + sum(tenant_j.values()),
             "energy_per_query_j": energy_per_query_j,
             "edp_js": edp,
-            "request_energy_j": request_energy,
+            "request_energy_j": request_energy({"serve": trace}),
         },
         "clock": {
             "wall_s": machine.time_s,
@@ -257,20 +246,15 @@ def build_report(config: ServeConfig, server: QueryServer,
         "counters": serve_counters,
     }
     if resilient:
-        report["config"].update({
-            "faults": (config.faults.as_dict()
-                       if config.faults is not None else None),
-            "retries": config.retries,
-            "retry_backoff_s": config.retry_backoff_s,
-            "retry_jitter": config.retry_jitter,
-            "retry_budget": config.retry_budget,
-            "deadline_s": config.deadline_s,
-            "breaker_threshold": config.breaker_threshold,
-            "breaker_window": config.breaker_window,
-            "breaker_cooloff_s": config.breaker_cooloff_s,
-            "degrade_keep_tenants": config.degrade_keep_tenants,
-        })
-        split = energy_split(trace, requests)
+        report["config"].update(config.report_fields(
+            *BREAKER_FIELDS, "retries", "retry_backoff_s", "retry_jitter",
+            "retry_budget", "deadline_s"))
+        final_attempt = {r.request_id: r.failures + 1 for r in requests}
+        split = energy_split(
+            {"serve": trace}, requests, (COMPLETED,),
+            lambda req, attempt: ("retried" if attempt < final_attempt[req]
+                                  else None),
+        )
         report["energy"].update({
             "useful_energy_j": split["useful_j"],
             "wasted_energy_j": split["wasted_j"],
@@ -297,13 +281,9 @@ def build_report(config: ServeConfig, server: QueryServer,
             "disk_read_retries": disk_retries,
         }
     if config.telemetric:
-        report["config"].update({
-            "telemetry": config.telemetry,
-            "exemplar_rate": config.exemplar_rate,
-            "reservoir_size": config.reservoir_size,
-            "timeline_out": config.timeline_out,
-            "timeline_window_s": config.timeline_window_s,
-        })
+        report["config"].update(config.report_fields(
+            "telemetry", "exemplar_rate", "reservoir_size", "timeline_out",
+            "timeline_window_s"))
         section: dict = {"mode": config.telemetry}
         if config.telemetry == "sampler" and hasattr(trace, "group_table"):
             # Sampler mode: the summary carries the streaming aggregates.
@@ -319,69 +299,100 @@ def build_report(config: ServeConfig, server: QueryServer,
     return report
 
 
+# ---------------------------------------------------------------- summaries
+# One-line helpers shared by the serve and cluster text summaries.
+
+#: Waste reasons a summary lists, largest first.
+SUMMARY_REASONS = 6
+
+
+def fmt(value, unit: str, precision: str = ".4g") -> str:
+    return "n/a" if value is None else f"{value:{precision}} {unit}"
+
+
+def counts_line(counts: dict) -> str:
+    return "counts: " + "  ".join(f"{k}={v}" for k, v in counts.items())
+
+
+def quantiles_line(label: str, section: dict, unit: str) -> str:
+    """``label: p50=…  p95=…  p99=…  mean=…`` from a latency or energy
+    section (keys ``p50_s`` / ``p50_j`` etc.)."""
+    suffix = unit.lower()
+    return f"{label}: " + "  ".join(
+        f"{stat}={fmt(section[f'{stat}_{suffix}'], unit)}"
+        for stat in ("p50", "p95", "p99", "mean")
+    )
+
+
+def engine_line(cfg: dict, elapsed_s: float, **totals: int) -> str:
+    """Host wall time and per-host-second rates of the given totals."""
+    rates = "  ".join(f"{name}/s={total / elapsed_s:.1f}"
+                      for name, total in totals.items())
+    return (f"engine: mode={cfg['exec_mode']}  host={elapsed_s:.3f} s  "
+            f"{rates}")
+
+
+def waste_line(energy: dict) -> str:
+    """Useful vs wasted joules and the largest waste reasons."""
+    ranked = sorted(energy["wasted_by_reason_j"].items(),
+                    key=lambda item: (-item[1], item[0]))
+    reasons = ", ".join(f"{reason}={joules:.3g} J"
+                        for reason, joules in ranked[:SUMMARY_REASONS])
+    active = energy["active_energy_j"]
+    wasted = energy["wasted_energy_j"]
+    share = 100.0 * wasted / active if active > 0 else 0.0
+    return (f"waste: useful={energy['useful_energy_j']:.4g} J  "
+            f"wasted={wasted:.4g} J ({share:.1f}%)  "
+            f"reasons: {reasons or 'none'}")
+
+
+def resilience_line(resilience: dict) -> str:
+    """The resilience counters, then injected faults by site."""
+    counters = "  ".join(f"{key}={value}"
+                         for key, value in resilience.items()
+                         if key != "faults_injected")
+    faults = ", ".join(f"{site}={n}" for site, n in
+                       resilience["faults_injected"].items())
+    return f"resilience: {counters}  faults: {faults or 'none'}"
+
+
 def render_serve_summary(report: dict, elapsed_s: float | None = None) -> str:
     """Human-readable one-screen summary of a serve report.
 
     The CLI prints this next to the JSON report; it surfaces what an
     operator looks at first — completion counts, latency percentiles,
-    and joules per request.  ``elapsed_s`` is the *host* wall time of
-    the run (measured by the caller, never stored in the report — the
-    JSON stays a pure function of the config); when given, the summary
-    adds an engine/throughput line with requests/s and quanta/s.
+    and joules per request, plus the useful/wasted split and the
+    resilience counters of a chaos run.  ``elapsed_s`` is the *host*
+    wall time of the run (measured by the caller, never stored in the
+    report — the JSON stays a pure function of the config); when given,
+    the summary adds an engine/throughput line with requests/s and
+    quanta/s.
     """
     cfg = report["config"]
     counts = report["counts"]
-    latency = report["latency_s"]
     energy = report["energy"]
     clock = report["clock"]
     lines = [
         f"serve: workload={cfg['workload']} queries={cfg['queries']} "
         f"clients={cfg['clients']} policy={cfg['policy']} "
         f"dvfs={cfg['dvfs']} seed={cfg['seed']}",
-        "counts: " + "  ".join(
-            f"{key}={value}" for key, value in counts.items()
-        ),
+        counts_line(counts),
     ]
     if elapsed_s is not None and elapsed_s > 0:
-        lines.append(
-            f"engine: mode={cfg['exec_mode']}  "
-            f"host={elapsed_s:.3f} s  "
-            f"requests/s={counts['issued'] / elapsed_s:.1f}  "
-            f"quanta/s={clock['quanta'] / elapsed_s:.1f}"
-        )
-
-    def fmt(value, unit: str, precision: str = ".4g") -> str:
-        return "n/a" if value is None else f"{value:{precision}} {unit}"
-
-    lines.append(
-        f"latency: p50={fmt(latency['p50_s'], 's')}  "
-        f"p95={fmt(latency['p95_s'], 's')}  "
-        f"p99={fmt(latency['p99_s'], 's')}  "
-        f"mean={fmt(latency['mean_s'], 's')}"
-    )
-    request_energy = energy["request_energy_j"]
-    lines.append(
-        f"energy/request: p50={fmt(request_energy['p50_j'], 'J')}  "
-        f"p95={fmt(request_energy['p95_j'], 'J')}  "
-        f"p99={fmt(request_energy['p99_j'], 'J')}  "
-        f"mean={fmt(request_energy['mean_j'], 'J')}"
-    )
-    lines.append(
+        lines.append(engine_line(cfg, elapsed_s, requests=counts["issued"],
+                                 quanta=clock["quanta"]))
+    lines += [
+        quantiles_line("latency", report["latency_s"], "s"),
+        quantiles_line("energy/request", energy["request_energy_j"], "J"),
         f"energy: active={energy['total_active_j']:.4g} J "
         f"({energy['domain']})  "
         f"per-query={fmt(energy['energy_per_query_j'], 'J')}  "
-        f"wall={clock['wall_s']:.4g} s"
-    )
+        f"wall={clock['wall_s']:.4g} s",
+    ]
     if "useful_energy_j" in energy:
-        reasons = ", ".join(
-            f"{reason}={joules:.3g} J" for reason, joules in
-            list(energy["wasted_by_reason_j"].items())[:4]
-        ) or "none"
-        lines.append(
-            f"waste: useful={energy['useful_energy_j']:.4g} J  "
-            f"wasted={energy['wasted_energy_j']:.4g} J  "
-            f"reasons: {reasons}"
-        )
+        lines.append(waste_line(energy))
+    if "resilience" in report:
+        lines.append(resilience_line(report["resilience"]))
     telemetry = report.get("telemetry")
     if telemetry is not None and "exemplars" in telemetry:
         exemplars = telemetry["exemplars"]

@@ -190,9 +190,14 @@ class TestChaosCommand:
 
     def test_chaos_prints_summary(self, capsys):
         assert main(self.ARGV + ["--scenario", "flaky"]) == 0
-        out = capsys.readouterr().out
-        assert "requests:" in out
-        assert "useful" in out and "wasted" in out
+        lines = capsys.readouterr().out.splitlines()
+        counts = next(line for line in lines if line.startswith("counts:"))
+        assert "issued=4" in counts and "completed=" in counts
+        assert "failed=" in counts
+        waste = next(line for line in lines if line.startswith("waste:"))
+        assert "useful=" in waste and "wasted=" in waste
+        assert any(line.startswith("resilience:") and "faults:" in line
+                   for line in lines)
 
     def test_chaos_json_has_resilience_section(self, capsys):
         assert main(self.ARGV + ["--scenario", "flaky", "--json"]) == 0
