@@ -119,8 +119,9 @@ class Tracer:
         """Settle and snapshot: work before this point is not credited."""
         machine = self.machine
         machine.settle()
-        # settle() leaves a fresh copy of the live counters in _settled;
-        # reusing it saves one full-field copy per transition.
+        # settle() leaves a snapshot of the live counters in _settled
+        # (shared across no-op settles, never mutated in place); reusing
+        # it saves one full-field copy per transition.
         self._last_counters = machine._settled
         rapl = machine.rapl
         self._last_core = rapl.energy_core()

@@ -24,6 +24,16 @@ evictions are applied directly to the per-set ``OrderedDict`` state
 writebacks included), and integer counters are accumulated per stride
 (see :meth:`BatchExecutor._cold_stride`).
 
+Strided ring walks (``load_ring``: the serve core's point lookups, the
+context-switch kernel walk, operator cold-set probes) take one verified
+walk for every uniform service level: a run of L1D hits, or a run of
+misses all served at L2, at L3 or from DRAM whose prefetcher response
+is proved before the run starts.  A run applies only its LRU moves,
+fills and evictions and charges its counters once; a probe no proof
+covers goes alone through the generic walk, and once a rotation leaves
+all its lines L1D-resident the rest of the call folds into one bulk
+update (see :meth:`BatchExecutor._ring_fast`).
+
 The batched path is **bit-identical** to the reference path: it performs
 the same set/LRU mutations in the same order and applies the same cycle
 and stall additions in the same order, so PMU counters, cache state,
@@ -44,6 +54,7 @@ branch on the mode.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import islice
 from math import gcd
 from operator import eq
@@ -183,6 +194,17 @@ class BatchExecutor:
         self.list_replays = 0
         self.list_replayed_loads = 0
         self.list_verify_failed: dict = {}
+        #: Ring-walk regime counters (see :meth:`_ring_walk`), also
+        #: host-side only: probes served by a verified run, by level;
+        #: probes folded into bulk rotations; probes handed to the
+        #: generic walk; and the proofs that failed, by reason.
+        self.ring_verified_loads = {"l1": 0, "l2": 0, "l3": 0, "mem": 0}
+        self.ring_folded_loads = 0
+        self.ring_generic_loads = 0
+        self.ring_verify_failed: dict = {}
+        #: ``(latencies, exposed, dearest probe, on grid)`` of the ring
+        #: walk's prices (see :meth:`_ring_fast`).
+        self._ring_prices = ([], None, 0.0, False)
 
     # ------------------------------------------------------------ public API
 
@@ -797,10 +819,27 @@ class BatchExecutor:
         is computed once per ``(ring, class)`` and memoised as a tuple
         of *line numbers* (regions are line-aligned), so each call is a
         dict hit plus C-level tuple slices — no per-probe cursor
-        arithmetic.  The per-line work happens in :meth:`_ring_lines`;
-        the all-hit rotation folding is identical to the generic path
-        (a zero-miss full rotation leaves cache state untouched, so
-        remaining rotations fold into one bulk hit update).
+        arithmetic.  Each rotation segment goes through the verified
+        walk of :meth:`_ring_walk`.
+
+        A full rotation touches ``period`` distinct lines in order, and
+        nothing else enters L1D meanwhile (prefetches and write-backs
+        fill L2/L3).  A line is touched once per rotation, so when no
+        L1D set receives more than ``assoc`` of the rotation's lines,
+        none of them can be pushed out after its touch: every one is
+        resident afterwards, whether the rotation hit or filled it, and
+        each set ends with them as its tail in rotation order.
+        Replaying the rotation then hits every probe and re-appends the
+        same lines in the same order — a no-op on cache and prefetcher
+        state.  That condition depends only on the geometry, so it is
+        memoised with the cycle, and the remaining full rotations after
+        the first fold into one bulk hit update.  The cursor is
+        unchanged: ``period * stride`` is a multiple of ``n_lines``.
+
+        Runs and folds charge cycles in bulk, so the whole call must
+        pass the dyadic rule of :func:`_on_grid`: every price, and both
+        accumulators even after ``count`` probes at the dearest price.
+        Otherwise every segment takes the generic walk, unfolded.
         """
         cpu = self.cpu
         c = cpu.counters
@@ -828,194 +867,252 @@ class BatchExecutor:
                 cycle.append((line, s1[line & m1], s2[line & m2],
                               s3[line & m3]))
             inv = {entry[0] - base_line: j for j, entry in enumerate(cycle)}
-            memo = (tuple(cycle), inv)
+            per_set = Counter(entry[0] & m1 for entry in cycle)
+            fits = max(per_set.values()) <= hier2.l1d.assoc
+            # Stored twice over, so any segment is one slice.
+            memo = (tuple(cycle) * 2, inv, fits)
             self._ring_memo[key] = memo
-        cycle, inv = memo
+        cycle, inv, fits = memo
         idx = inv[cursor]
         issue = cpu.timing.load_issue
-        # The steady-state verified walk (see _ring_steady) assumes the
-        # prefetcher's moving slot can never match `line - 1` between
-        # consecutive probes, which holds whenever the line-space step
-        # is not exactly one.
-        ext_safe = stride % n_lines != 1
+        prices = self._ring_prices
+        if prices[0] != cpu._latency:
+            # Exposed latency per LEVEL_*, clamped at 0 where the
+            # reference skips the add; cached until a P-state change.
+            exposed = [max(0.0, x / cpu.timing.mlp - issue)
+                       for x in cpu._latency]
+            prices = self._ring_prices = (
+                cpu._latency[:], exposed, issue + max(exposed),
+                _on_grid(0.0, 0.0, issue, *exposed[LEVEL_L2:]))
+        _, exposed, dearest, exact = prices
+        if exact:
+            cyc = c.cycles
+            stall = c.stall_cycles
+            dearest *= count
+            exact = (cyc + dearest < 2.0 ** 43 and stall + dearest < 2.0 ** 43
+                     and (cyc * 256.0).is_integer()
+                     and (stall * 256.0).is_integer())
+        step1 = stride % n_lines == 1
         done = 0
         while done < count:
             chunk = min(period, count - done)
-            first = idx + 1
-            if first >= period:
-                first -= period
-            end = first + chunk
-            if end <= period:
-                seg = cycle[first:end]
+            first = (idx + 1) % period
+            seg = cycle[first:first + chunk]
+            if exact:
+                self._ring_walk(seg, inv, base_line, n_lines, first,
+                                period, step1, exposed)
             else:
-                seg = cycle[first:] + cycle[:end - period]
-            if ext_safe:
-                misses = self._ring_steady(seg, inv, base_line, first,
-                                           period)
-            else:
-                misses = 0
-            if misses < chunk:
-                misses += self._ring_lines(seg[misses:] if misses else seg)
+                self._ring_generic(seg, 0, "inexact")
             done += chunk
-            idx = first + chunk - 1
-            if idx >= period:
-                idx -= period
-            if misses == 0 and chunk == period:
-                # A full rotation of pure L1D hits: replaying it is a
-                # no-op on cache state, so the remaining full rotations
-                # fold into one bulk hit update (see load_ring).
-                folds = (count - done) // period
-                if folds:
-                    n = folds * period
-                    l1.hits += n
-                    c.n_l1d += n
-                    c.l1d_hits += n
-                    c.n_load_inst += n
-                    c.cycles += n * issue
-                    done += n
+            idx = (first + chunk - 1) % period
+            if fits and exact and chunk == period and count - done >= period:
+                n = (count - done) // period * period
+                l1.hits += n
+                c.n_l1d += n
+                c.l1d_hits += n
+                c.n_load_inst += n
+                c.cycles += n * issue
+                done += n
+                self.ring_folded_loads += n
         return cycle[idx][0] - base_line
 
-    def _ring_steady(self, seg, inv, base_line: int, first: int,
-                     period: int) -> int:
-        """Verified steady-state prefix of one ring rotation segment.
+    def _ring_walk(self, seg, inv, base_line: int, n_lines: int, first: int,
+                   period: int, step1: bool, exposed) -> None:
+        """Demand loads for one ring rotation segment.
 
-        A large ring in its steady state misses L1D and L2 and hits L3
-        on *every* probe, and the prefetcher's response to every probe
-        is the same fixed-slot tracker restart.  Both facts are cheap
-        to verify up front without mutating anything:
+        A segment is served in runs.  A run of L1D hits only refreshes
+        LRU order.  A run of misses is served at one level — L2 hit, L3
+        hit or DRAM, chosen from its first probe.  Each probe's shape is
+        checked with plain ``in`` tests *before* it mutates anything,
+        and the run stops at the first probe that hits L1D or is served
+        at another level.  The run applies only the LRU moves, fills and
+        evictions; dirty victims still write back through the
+        hierarchy's own ``_fill_l2``/``_fill_l3``, so the cascade logic
+        stays in one place.  Its counters are derived once (fills =
+        misses, evictions = probes − underfull inserts), and its cycle
+        and stall charges are bulk adds, exact under the caller's
+        dyadic check.
 
-        * the prefetcher outcome is a restart for the whole segment iff
-          no tracker's last-line sits at (or one below) a segment line —
-          checked against the memoised cycle index in O(streams) — and
-          the moving slot (rewritten each probe with the previous ring
-          line) can never match because consecutive probes differ by
-          the line-space step, which the caller guarantees is neither 0
-          nor 1;
-        * the miss/miss/hit shape is checked per probe with plain
-          ``in`` probes *before* that probe mutates anything.
-
-        Each verified probe then runs a pared-down body: the three LRU
-        updates and the two demand fills, with every derivable counter
-        (`fills == misses`, `occupancy == fills - evictions`, hit
-        totals) accumulated once at the end and the prefetcher's net
-        effect — one slot write with the last line — applied after the
-        loop.  Dirty victims still write back through the hierarchy's
-        own ``_fill_l2``/``_fill_l3``, so the cascade logic stays in
-        one place.  The first probe that fails verification ends the
-        prefix; the caller hands the rest of the segment to the exact
-        generic walk with all prior probes fully applied, so the split
-        is invisible.  Returns the number of probes processed (each one
-        an L1D miss).
+        What a miss run must prove is the prefetcher's response.  With
+        ``train_threshold == 2`` and no idle slot, a miss that no
+        tracker matches restarts one fixed slot: the first slot with
+        ``run == 1`` or, when every slot is trained, the round-robin
+        victim (after which it is the ``run == 1`` slot).  So a run's
+        net prefetcher effect is one write of its last line to that
+        slot.  Before a miss run, the walk scans the trackers against
+        the memoised cycle index: the first later segment position a
+        tracker could match (its ``last`` at or one below that line)
+        bounds every run until the next proof.  The moving slot holds
+        the previous miss.  Within a run consecutive probes differ by
+        the ring step, which is never 0 and, unless ``step1``, never 1;
+        after a hit run the moving slot is rechecked against the next
+        miss.  A probe that fails a proof goes alone through the exact
+        generic walk, and the walk proves again from the next probe.
+        A configuration no proof can pass (another train threshold, a
+        step of 1) hands the rest of the segment to the generic walk.
         """
         cpu = self.cpu
-        hier = cpu.hierarchy
-        pf = hier.prefetcher
-        if (not pf.enabled or pf.n_streams <= 0
-                or pf.train_threshold != 2):
-            return 0
-        run = pf._run
-        if 0 in run:
-            return 0
-        chunk = len(seg)
-        last = pf._last
-        inv_get = inv.get
-        for v in last:
-            iv = inv_get(v - base_line)
-            if iv is not None and (iv - first) % period < chunk:
-                return 0
-            iv = inv_get(v + 1 - base_line)
-            if iv is not None and (iv - first) % period < chunk:
-                return 0
-        # The scan above proves no tracker can match any segment line,
-        # so every probe's prefetcher outcome is a restart of one fixed
-        # slot: the first slot with ``run == 1`` or, when every slot is
-        # already trained, the round-robin victim ``observe`` would
-        # evict (that branch writes no counters, so its net effect is
-        # the same slot write).  Nothing inside the loop reads tracker
-        # state, so the whole sequence nets to one flush-time write.
-        try:
-            s = run.index(1)
-            restart_victim = False
-        except ValueError:
-            restart_victim = True
-            s = -1
-        timing = cpu.timing
-        issue = timing.load_issue
-        exp3 = cpu._latency[LEVEL_L3] / timing.mlp - issue
-        if exp3 <= 0.0:
-            return 0
         c = cpu.counters
-        cyc = c.cycles
-        stall = c.stall_cycles
-        if not _on_grid(cyc, stall, issue, exp3):
-            # Bulk cycle accounting below reassociates the per-probe adds.
-            return 0
+        hier = cpu.hierarchy
         l1 = hier.l1d
         l2 = hier.l2
         l3 = hier.l3
         a1 = l1.assoc
         a2 = l2.assoc
+        a3 = l3.assoc
         fill_l2 = hier._fill_l2
         fill_l3 = hier._fill_l3
-        u1 = dev1 = u2 = dev2 = 0
-        j = 0
-        for line, set1, set2, set3 in seg:
-            if line in set1 or line in set2 or line not in set3:
-                break
-            set3.move_to_end(line)
-            if len(set2) >= a2:
-                v, vd = set2.popitem(last=False)
-                if vd:
-                    dev2 += 1
-                    fill_l3(v, True)
+        pf = hier.prefetcher
+        pf_on = pf.enabled and pf.n_streams > 0
+        last = pf._last
+        run = pf._run
+        issue = cpu.timing.load_issue
+        verified = self.ring_verified_loads
+        n = len(seg)
+        pos = slot = 0
+        stop = -1 if pf_on else n   # runs serve [pos, stop) until re-proved
+        bump = False
+        while pos < n:
+            line, set1, set2, set3 = seg[pos]
+            if line in set1:
+                h = 0
+                for line, set1, _, _ in islice(seg, pos, None):
+                    if line not in set1:
+                        break
+                    set1.move_to_end(line)
+                    h += 1
+                l1.hits += h
+                c.n_l1d += h
+                c.l1d_hits += h
+                c.n_load_inst += h
+                c.cycles += h * issue
+                verified["l1"] += h
+                pos += h
+                continue
+            if pos >= stop:
+                if pf.train_threshold != 2:
+                    return self._ring_generic(seg, pos, "pf_config")
+                if step1:
+                    return self._ring_generic(seg, pos, "tracker")
+                if 0 in run:
+                    self._ring_generic(seg, pos, "idle_slot", 1)
+                    pos += 1
+                    continue
+                stop = n
+                for v in last:
+                    r = v - base_line
+                    if -1 <= r < n_lines:   # at or one below a ring line
+                        for w in (r, r + 1):
+                            iv = inv.get(w)
+                            if iv is not None:
+                                k = (iv - first) % period
+                                if pos <= k < stop:
+                                    stop = k
+                if stop == pos:
+                    self._ring_generic(seg, pos, "tracker", 1)
+                    pos += 1
+                    continue
+                bump = 1 not in run
+                slot = pf._victim if bump else run.index(1)
+            elif pf_on and (last[slot] == line or last[slot] == line - 1):
+                # The moving slot's last miss lies a hit run back.
+                self._ring_generic(seg, pos, "tracker", 1)
+                pos += 1
+                stop = -1
+                continue
+            hit2 = line in set2
+            hit3 = not hit2 and line in set3
+            j = u1 = u2 = u3 = dev1 = dev2 = dev3 = 0
+            # popitem(False) pops the LRU line; the positional form
+            # skips keyword parsing on the walk's hottest call.
+            for line, set1, set2, set3 in islice(seg, pos, stop):
+                if line in set1:
+                    break
+                if line in set2:
+                    if not hit2:
+                        break
+                    set2.move_to_end(line)
+                else:
+                    if hit2:
+                        break
+                    if line in set3:
+                        if not hit3:
+                            break
+                        set3.move_to_end(line)
+                    else:
+                        if hit3:
+                            break
+                        if len(set3) >= a3:
+                            if set3.popitem(False)[1]:
+                                dev3 += 1
+                        else:
+                            u3 += 1
+                        set3[line] = False
+                    if len(set2) >= a2:
+                        v, vd = set2.popitem(False)
+                        if vd:
+                            dev2 += 1
+                            fill_l3(v, True)
+                    else:
+                        u2 += 1
+                    set2[line] = False
+                if len(set1) >= a1:
+                    v, vd = set1.popitem(False)
+                    if vd:
+                        dev1 += 1
+                        fill_l2(v, True)
+                else:
+                    u1 += 1
+                set1[line] = False
+                j += 1
+            e = exposed[LEVEL_L2 if hit2 else LEVEL_L3 if hit3 else LEVEL_MEM]
+            c.cycles += j * issue + j * e
+            c.stall_cycles += j * e
+            c.n_load_inst += j
+            c.n_l1d += j
+            c.n_l2 += j
+            c.n_writeback += dev1 + dev2 + dev3
+            l1.bulk_account(misses=j, fills=j, evictions=j - u1,
+                            dirty_evictions=dev1, occupancy=u1)
+            if hit2:
+                c.l2_hits += j
+                l2.hits += j
             else:
-                u2 += 1
-            set2[line] = False
-            if len(set1) >= a1:
-                v, vd = set1.popitem(last=False)
-                if vd:
-                    dev1 += 1
-                    fill_l2(v, True)
-            else:
-                u1 += 1
-            set1[line] = False
-            j += 1
-        if j == 0:
-            return 0
-        # In steady state both caches are full, so underfull inserts
-        # (u1/u2) are the rare case; evictions are derived at flush.
-        ev1 = j - u1
-        ev2 = j - u2
-        c.cycles = cyc + j * issue + j * exp3
-        c.stall_cycles = stall + j * exp3
-        c.n_load_inst += j
-        c.n_l1d += j
-        c.n_l2 += j
-        c.n_l3 += j
-        c.l3_hits += j
-        c.n_writeback += dev1 + dev2
-        l1.misses += j
-        l1.fills += j
-        l1.evictions += ev1
-        l1.dirty_evictions += dev1
-        l1._occupancy += j - ev1
-        l2.misses += j
-        l2.fills += j
-        l2.evictions += ev2
-        l2.dirty_evictions += dev2
-        l2._occupancy += j - ev2
-        l3.hits += j
-        # Every probe restarted the same tracker; the net prefetcher
-        # state is one write of the last line processed (plus the
-        # round-robin victim bump when no slot was still untrained).
-        if restart_victim:
-            s = pf._victim
-            pf._victim = (s + 1) % pf.n_streams
-            run[s] = 1
-        last[s] = seg[j - 1][0]
-        pf._l2up[s] = -1
-        pf._l3up[s] = -1
-        return j
+                c.n_l3 += j
+                l2.bulk_account(misses=j, fills=j, evictions=j - u2,
+                                dirty_evictions=dev2, occupancy=u2)
+                if hit3:
+                    c.l3_hits += j
+                    l3.hits += j
+                else:
+                    c.n_mem += j
+                    l3.bulk_account(misses=j, fills=j, evictions=j - u3,
+                                    dirty_evictions=dev3, occupancy=u3)
+            verified["l2" if hit2 else "l3" if hit3 else "mem"] += j
+            pos += j
+            if pf_on:
+                if bump:
+                    pf._victim = (slot + 1) % pf.n_streams
+                    run[slot] = 1
+                    bump = False
+                last[slot] = seg[pos - 1][0]
+                pf._l2up[slot] = -1
+                pf._l3up[slot] = -1
+            if pos < stop and seg[pos][0] not in seg[pos][1]:
+                # The run was cut short by a miss at another level.
+                failed = self.ring_verify_failed
+                failed["shape"] = failed.get("shape", 0) + 1
+
+    def _ring_generic(self, seg, pos: int, reason: str,
+                      n: Optional[int] = None) -> None:
+        """Hand ``n`` probes of ``seg`` from ``pos`` (default: the rest)
+        to the exact generic walk."""
+        failed = self.ring_verify_failed
+        failed[reason] = failed.get(reason, 0) + 1
+        lines = islice(seg, pos, None if n is None else pos + n)
+        addrs = [entry[0] << LINE_SHIFT for entry in lines]
+        self.ring_generic_loads += len(addrs)
+        self._load_addrs(addrs)
 
     def store_repeat(self, addr: int, n: int) -> None:
         if n <= 0:
@@ -1447,218 +1544,6 @@ class BatchExecutor:
         pf.n_pf_l2_issued += k
         pf.n_pf_l3_issued += k
         return k
-
-    def _ring_lines(self, lines) -> int:
-        """Demand loads for one ring rotation segment, by line number.
-
-        Semantically an exact copy of :meth:`_load_addrs` specialised
-        for its :meth:`_ring_fast` caller: the ring never overlaps the
-        TCM window (``load_ring`` already routed that case to
-        :meth:`load_list`), probes are independent loads, L2 and L3
-        both exist, and the region is line-aligned so the walk receives
-        line numbers directly.  Counters that are per-access invariants
-        (``n_load_inst``, ``n_l1d``) or derivable from the hit/miss
-        split (``fills == misses`` per level, minus prefetch fills
-        accounted separately) are computed once per call.  The
-        prefetcher's no-match tracker restart is inlined — a coprime
-        ring stride never extends a sequential stream, so the common
-        :meth:`~repro.sim.prefetcher.StreamPrefetcher.observe` outcome
-        is exactly that restart; any access that *could* match a
-        tracker (or a non-default train threshold with no idle slot) is
-        handed to the real ``observe`` unchanged.  Returns the number
-        of L1D misses (zero means a pure-hit rotation, which
-        :meth:`_ring_fast` may fold).
-        """
-        cpu = self.cpu
-        c = cpu.counters
-        hier = cpu.hierarchy
-        l1 = hier.l1d
-        l2 = hier.l2
-        l3 = hier.l3
-        a1 = l1.assoc
-        s2 = l2._sets
-        m2 = l2._set_mask
-        a2 = l2.assoc
-        fill_l2 = hier._fill_l2
-        s3 = l3._sets
-        m3 = l3._set_mask
-        a3 = l3.assoc
-        fill_l3 = hier._fill_l3
-        pf = hier.prefetcher
-        observe = pf.observe
-        pf_on = pf.enabled and pf.n_streams > 0
-        pf_last = pf._last
-        pf_run = pf._run
-        pf_l2up = pf._l2up
-        pf_l3up = pf._l3up
-        pf_thr2 = pf.train_threshold == 2
-        timing = cpu.timing
-        issue = timing.load_issue
-        mlp = timing.mlp
-        lat = cpu._latency
-        exp_l2 = lat[LEVEL_L2] / mlp - issue
-        exp_l3 = lat[LEVEL_L3] / mlp - issue
-        exp_mem = lat[LEVEL_MEM] / mlp - issue
-
-        n = len(lines)
-        h1 = 0
-        h2 = mis2 = f2 = ev2 = dev2 = occ2 = 0
-        h3 = mis3 = f3 = ev3 = dev3 = occ3 = 0
-        ev1 = dev1 = occ1 = 0
-        n_wb = 0
-        n_pf_l2 = 0
-        n_pf_l3 = 0
-        cyc = c.cycles
-        stall = c.stall_cycles
-
-        for line, set1, set2, set3 in lines:
-            if line in set1:
-                set1.move_to_end(line)
-                h1 += 1
-                cyc += issue
-                continue
-            # ---------------- L1D miss: walk down, fill on the way back
-            if line in set2:
-                set2.move_to_end(line)
-                h2 += 1
-                exp = exp_l2
-            else:
-                mis2 += 1
-                if line in set3:
-                    set3.move_to_end(line)
-                    h3 += 1
-                    exp = exp_l3
-                else:
-                    mis3 += 1
-                    exp = exp_mem
-                    # fill L3 (line known absent)
-                    f3 += 1
-                    if len(set3) >= a3:
-                        v, vd = set3.popitem(last=False)
-                        ev3 += 1
-                        if vd:
-                            dev3 += 1
-                            n_wb += 1
-                    else:
-                        occ3 += 1
-                    set3[line] = False
-                # fill L2 (line known absent)
-                f2 += 1
-                if len(set2) >= a2:
-                    v, vd = set2.popitem(last=False)
-                    ev2 += 1
-                    if vd:
-                        dev2 += 1
-                        n_wb += 1
-                        fill_l3(v, True)
-                else:
-                    occ2 += 1
-                set2[line] = False
-            # fill L1 (line known absent)
-            if len(set1) >= a1:
-                v, vd = set1.popitem(last=False)
-                ev1 += 1
-                if vd:
-                    dev1 += 1
-                    n_wb += 1
-                    fill_l2(v, True)
-            else:
-                occ1 += 1
-            set1[line] = False
-            # prefetcher (demand loads only, after the fills -- same
-            # order as MemoryHierarchy.load)
-            if pf_on:
-                if line - 1 in pf_last or line in pf_last:
-                    pf2, pf3 = observe(line)
-                    if pf2:
-                        for pline in pf2:
-                            if pline not in s2[pline & m2]:
-                                if pline in s3[pline & m3]:
-                                    n_pf_l2 += 1
-                                    pset = s2[pline & m2]
-                                    f2 += 1
-                                    if len(pset) >= a2:
-                                        v, vd = pset.popitem(last=False)
-                                        ev2 += 1
-                                        if vd:
-                                            dev2 += 1
-                                            n_wb += 1
-                                            fill_l3(v, True)
-                                    else:
-                                        occ2 += 1
-                                    pset[pline] = False
-                                else:
-                                    n_pf_l3 += 1
-                                    pset = s3[pline & m3]
-                                    f3 += 1
-                                    if len(pset) >= a3:
-                                        v, vd = pset.popitem(last=False)
-                                        ev3 += 1
-                                        if vd:
-                                            dev3 += 1
-                                            n_wb += 1
-                                    else:
-                                        occ3 += 1
-                                    pset[pline] = False
-                    if pf3:
-                        for pline in pf3:
-                            if pline not in s3[pline & m3]:
-                                n_pf_l3 += 1
-                                pset = s3[pline & m3]
-                                f3 += 1
-                                if len(pset) >= a3:
-                                    v, vd = pset.popitem(last=False)
-                                    ev3 += 1
-                                    if vd:
-                                        dev3 += 1
-                                        n_wb += 1
-                                else:
-                                    occ3 += 1
-                                pset[pline] = False
-                elif 0 in pf_run:
-                    slot = pf_run.index(0)
-                    pf_last[slot] = line
-                    pf_run[slot] = 1
-                    pf_l2up[slot] = -1
-                    pf_l3up[slot] = -1
-                elif pf_thr2 and 1 in pf_run:
-                    slot = pf_run.index(1)
-                    pf_last[slot] = line
-                    pf_run[slot] = 1
-                    pf_l2up[slot] = -1
-                    pf_l3up[slot] = -1
-                else:
-                    observe(line)
-            cyc += issue
-            if exp > 0.0:
-                cyc += exp
-                stall += exp
-
-        c.cycles = cyc
-        c.stall_cycles = stall
-        c.n_load_inst += n
-        c.n_l1d += n
-        c.l1d_hits += h1
-        l1.hits += h1
-        mis1 = n - h1
-        if mis1:
-            c.n_l2 += mis1
-            c.l2_hits += h2
-            c.n_l3 += mis2
-            c.l3_hits += h3
-            c.n_mem += mis3
-            c.n_writeback += n_wb
-            c.n_pf_l2 += n_pf_l2
-            c.n_pf_l3 += n_pf_l3
-            l1.bulk_account(misses=mis1, fills=mis1, evictions=ev1,
-                            dirty_evictions=dev1, occupancy=occ1)
-            l2.bulk_account(hits=h2, misses=mis2, fills=f2,
-                            evictions=ev2, dirty_evictions=dev2,
-                            occupancy=occ2)
-            l3.bulk_account(hits=h3, misses=mis3, fills=f3,
-                            evictions=ev3, dirty_evictions=dev3,
-                            occupancy=occ3)
-        return mis1
 
     def _load_addrs(self, addrs: Iterable[int], dependent: bool = False,
                     first_only: bool = False) -> int:

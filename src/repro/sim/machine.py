@@ -222,8 +222,15 @@ class Machine:
     # ------------------------------------------------------------ time/energy
 
     def settle(self) -> None:
-        """Price all un-priced work at the current P-state."""
-        delta = self.pmu.counters.minus(self._settled)
+        """Price all un-priced work at the current P-state.
+
+        With nothing new to price, ``_settled`` already equals the live
+        counters and is kept as it is: it is never mutated in place, so
+        callers may hold on to it."""
+        live = self.pmu.counters
+        if live.__dict__ == self._settled.__dict__:
+            return
+        delta = live.minus(self._settled)
         if delta.cycles > 0 or delta.instructions > 0:
             freq_hz = self.cpu.freq_ghz * 1e9
             busy = delta.cycles / freq_hz

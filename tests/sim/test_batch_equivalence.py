@@ -16,6 +16,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import tiny_arm, tiny_intel
 from repro.micro.framework import shuffled_chain_order
@@ -326,15 +327,29 @@ def test_load_ring_fold_after_warm_rotation():
 
 def test_load_ring_miss_recovery_and_gcd_strides():
     """Rings bigger than L1 (every rotation misses), strides sharing a
-    factor with the ring (short sub-cycles), stride 0, and stride
-    multiples of the ring size must all match per-op execution."""
-    def body(machine):
-        big = machine.address_space.alloc_lines(512, "big-ring")
-        ex = machine.exec
-        cursor = 0
-        for stride in (97, 8, 64, 512, 0, 1):
-            cursor = ex.load_ring(big.base, cursor, stride, 300, 512)
-    _assert_modes_agree(body)
+    factor with the ring (short sub-cycles), stride 0, stride multiples
+    of the ring size, and strides congruent to 1 (a sequential walk the
+    prefetcher trains on) must all match per-op execution, whatever
+    state the prefetcher is in: idle tracker slots (a fresh machine),
+    switched off (nothing to prove), or a train threshold the walk has
+    no proof for."""
+    for prefetcher, reason in (("idle", "idle_slot"), ("off", None),
+                               ("threshold3", "pf_config")):
+        def body(machine, prefetcher=prefetcher):
+            if prefetcher == "off":
+                machine.set_prefetcher(False)
+            elif prefetcher == "threshold3":
+                machine.prefetcher.train_threshold = 3
+            big = machine.address_space.alloc_lines(512, "big-ring")
+            ex = machine.exec
+            cursor = 0
+            for stride in (97, 8, 64, 512, 0, 1, 513):
+                cursor = ex.load_ring(big.base, cursor, stride, 300, 512)
+        failed = _assert_modes_agree(body).ring_verify_failed
+        if reason is None:
+            assert not failed.keys() & {"tracker", "idle_slot", "pf_config"}
+        else:
+            assert failed[reason] > 0
 
 
 def test_load_ring_interrupted_by_evictions():
@@ -373,6 +388,135 @@ def test_load_ring_dependent_and_tcm_overlap():
     _assert_modes_agree(body)
 
 
+def test_load_ring_dram_rotation_over_ring_larger_than_l3():
+    """A ring with more lines than L3 holds misses to DRAM on every
+    probe, rotation after rotation: the verified DRAM run serves all
+    but the first few probes (which fill the idle tracker slots)."""
+    def body(machine):
+        n_lines = machine.hierarchy.l3.size // 64 + 1808
+        ring = machine.address_space.alloc_lines(n_lines, "huge-ring")
+        machine.exec.load_ring(ring.base, 5, 7, 2 * n_lines + 99, n_lines)
+    ex = _assert_modes_agree(body)
+    assert ex.ring_generic_loads < 0.01 * ex.ring_verified_loads["mem"]
+    assert ex.ring_folded_loads == 0
+
+
+def test_load_ring_l2_hit_cold_walk():
+    """The context-switch kernel walk: 32 probes a call over a 128-line
+    cold set that fits L2 but not L1D, with an L1D-sized ring walked in
+    between to evict it, so after the first rotation every walk is a
+    run of L1D misses that hit L2."""
+    def body(machine):
+        cold = machine.address_space.alloc_lines(128, "kernel")
+        ring = machine.address_space.alloc_lines(24, "ring")
+        ex = machine.exec
+        cursor = 0
+        for _ in range(24):
+            cursor = ex.load_ring(cold.base, cursor, 7, 32, 128)
+            ex.load_ring(ring.base, 0, 7, 96, 24)
+    ex = _assert_modes_agree(body)
+    assert ex.ring_verified_loads["l2"] > 500
+    assert ex.ring_folded_loads > 0
+
+
+def test_load_ring_tracker_matches_mid_segment():
+    """A tracker whose last line sits one below a line probed in the
+    middle of a segment: the walk runs the verified prefix, sends that
+    probe alone through the generic walk, and proves again from the
+    next one."""
+    def body(machine):
+        ring = machine.address_space.alloc_lines(512, "ring")
+        ex = machine.exec
+        cursor = ex.load_ring(ring.base, 0, 97, 512, 512)  # warm L3
+        for k in (100, 250):
+            target = (cursor + (k + 1) * 97) % 512
+            machine.load(ring.line(target) - 64)
+            cursor = ex.load_ring(ring.base, cursor, 97, 300, 512)
+    ex = _assert_modes_agree(body)
+    assert ex.ring_verify_failed["tracker"] >= 2
+    assert ex.ring_verified_loads["l3"] > 400
+
+
+def test_load_ring_moving_slot_after_hit_run():
+    """Stride 7 over 24 lines probes line 0, then six other lines, then
+    line 1.  With those six L1D-resident (stored, so the prefetcher
+    never saw them), the miss on line 1 extends the stream the miss on
+    line 0 restarted, though the two are not consecutive probes."""
+    def body(machine):
+        far = machine.address_space.alloc_lines(64, "far")
+        for i in range(0, 64, 8):
+            machine.load(far.line(i))  # no idle tracker slot left
+        ring = machine.address_space.alloc_lines(24, "ring")
+        for pos in (7, 14, 21, 4, 11, 18):
+            machine.store(ring.line(pos))
+        machine.exec.load_ring(ring.base, 17, 7, 48, 24)
+    ex = _assert_modes_agree(body)
+    assert ex.ring_verify_failed["tracker"] >= 1
+    assert ex.ring_verified_loads["l1"] >= 6
+
+
+def test_load_ring_dirty_victims_at_every_level():
+    """Stores leave dirty lines in L1D, L2 and L3; a DRAM ring walk then
+    evicts them at all three levels, and every write-back cascade must
+    match."""
+    def body(machine):
+        n_lines = machine.hierarchy.l3.size // 64 + 2048
+        dirty = machine.address_space.alloc_lines(n_lines, "dirty")
+        ring = machine.address_space.alloc_lines(n_lines, "ring")
+        for i in range(0, n_lines, 2):
+            machine.store(dirty.line(i))
+        machine.exec.load_ring(ring.base, 0, 7, n_lines, n_lines)
+    ex = _assert_modes_agree(body)
+    assert ex.ring_verified_loads["mem"] > 0
+    assert ex.cpu.counters.n_writeback > 0
+
+
+def test_load_ring_off_grid_dram_latency_never_folds():
+    """A DRAM latency off the 2**-8 grid: bulk charges could round
+    differently from per-probe adds, so an L1D-resident ring whose
+    first rotation missed to DRAM goes through the generic walk and
+    is not folded."""
+    base = tiny_intel()
+    config = dataclasses.replace(
+        base, timing=dataclasses.replace(base.timing, dram_lat_ns=60.1))
+
+    def body(machine):
+        ring = machine.address_space.alloc_lines(24, "ring")
+        for _ in range(3):
+            machine.exec.load_ring(ring.base, 0, 7, 24 * 50, 24)
+    ex = _assert_modes_agree(body, config)
+    assert ex.ring_folded_loads == 0
+    assert ex.ring_verify_failed == {"inexact": 150}
+
+
+def test_ring_regimes_on_points_steady_state():
+    """The serve ``points`` shape: per request, a 32-probe kernel walk
+    over a cold set that fits L2, then rotations of a 24-line ring, with
+    more ring lines in all than L3 holds.  In steady state each ring's
+    first rotation misses to DRAM and the rest fold; the verified walks
+    and folds must serve all but a few percent of the probes, so a path
+    that silently stops engaging fails here by name."""
+    n_rings = tiny_intel().l3.size // (64 * 24) + 60
+
+    def body(machine):
+        rings = [machine.address_space.alloc_lines(24, f"ring{i}")
+                 for i in range(n_rings)]
+        kernel = machine.address_space.alloc_lines(128, "kernel")
+        ex = machine.exec
+        cursor = 0
+        for _ in range(2):
+            for ring in rings:
+                cursor = ex.load_ring(kernel.base, cursor, 7, 32, 128)
+                ex.load_ring(ring.base, 0, 7, 24 * 3, 24)
+    ex = _assert_modes_agree(body)
+    verified = ex.ring_verified_loads
+    assert ex.ring_generic_loads < 0.05 * (sum(verified.values())
+                                           + ex.ring_folded_loads)
+    assert ex.ring_folded_loads == 2 * n_rings * 24 * 2
+    assert verified["mem"] > 0.95 * 2 * n_rings * 24
+    assert verified["l2"] > 0.9 * 2 * n_rings * 32
+
+
 def test_load_ring_cursor_matches_reference():
     """Both executors must report the same final cursor for the same
     walk (the fold must not desynchronise the cursor)."""
@@ -385,6 +529,58 @@ def test_load_ring_cursor_matches_reference():
             cursors[mode] = machine.exec.load_ring(
                 ring.base, 1, stride, count, n_lines)
         assert cursors["reference"] == cursors["batched"]
+
+
+#: Ring regions of the generated programs, in lines: they fit L1D, L2
+#: and L3 of ``tiny_intel``, and the last one is larger than L3.
+_RING_REGIONS = (24, 100, 600, 9000)
+
+_RING_PROGRAMS = st.lists(st.one_of(
+    st.tuples(st.just("ring"), st.integers(0, 3), st.integers(0, 9999),
+              st.integers(0, 9999), st.integers(0, 20000),
+              st.integers(1, 400), st.sampled_from((False, False, True))),
+    st.tuples(st.just("stores"), st.integers(0, 3), st.integers(0, 8999),
+              st.integers(1, 99), st.integers(1, 64)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("pf"), st.booleans()),
+    st.tuples(st.just("threshold"), st.integers(2, 3)),
+    st.tuples(st.just("pstate"), st.integers(8, 36)),
+), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_RING_PROGRAMS)
+def test_generated_ring_programs(program):
+    """Random ``load_ring`` geometries (ring size, cursor, stride,
+    count, dependence) interleaved with strided store runs (dirty,
+    L1D-resident lines the prefetcher never saw), flushes, prefetcher
+    toggles, train thresholds and P-state switches, against the
+    reference executor."""
+    def body(machine):
+        regions = [machine.address_space.alloc_lines(n, f"ring{i}")
+                   for i, n in enumerate(_RING_REGIONS)]
+        for op in program:
+            kind = op[0]
+            if kind == "ring":
+                _, r, n, cursor, stride, count, dependent = op
+                n_lines = 1 + n % _RING_REGIONS[r]
+                machine.exec.load_ring(regions[r].base, cursor % n_lines,
+                                       stride % (2 * n_lines + 2), count,
+                                       n_lines, dependent)
+            elif kind == "stores":
+                _, r, start, step, n = op
+                for i in range(n):
+                    line = (start + i * step) % _RING_REGIONS[r]
+                    machine.store(regions[r].line(line))
+            elif kind == "flush":
+                machine.hierarchy.flush()
+            elif kind == "pf":
+                machine.set_prefetcher(op[1])
+            elif kind == "threshold":
+                machine.prefetcher.train_threshold = op[1]
+            else:
+                machine.set_pstate(op[1])
+    _assert_modes_agree(body)
 
 
 def _chain(machine: Machine, n_lines: int, label: str) -> list:
