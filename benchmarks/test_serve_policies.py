@@ -46,6 +46,7 @@ def serve_policies_experiment() -> ExperimentResult:
                      f"{mean[policy]:>13.6e} {edp[policy]:>12.6e}")
     checks = {
         "locality_epq_le_fifo": epq["locality"] <= epq["fifo"],
+        "sjf_mean_latency_le_fifo": mean["sjf"] <= mean["fifo"],
         "all_queries_completed": all(
             r["counts"]["completed"] == r["counts"]["issued"]
             for r in reports.values()

@@ -54,8 +54,9 @@ class ShardMap:
         self.n_shards = n_shards
         self.replication = replication
         self.n_nodes = n_nodes
-        #: rows[table][shard] — filled by the loader (partial-work model
-        #: and SJF-style costs need them).
+        #: rows[table][shard] — filled by the loader (the coordinator's
+        #: partial-work model reads them; cluster jobs carry their
+        #: table's total as ``cost``).
         self.rows: dict[str, list[int]] = {}
 
     def replicas(self, shard: int) -> tuple[int, ...]:

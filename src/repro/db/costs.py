@@ -1,17 +1,13 @@
-"""Planner cost estimates over logical trees.
+"""The planner's cost model: predicted joules over logical trees.
 
-Two estimators live here, sharing one cardinality model:
-
-* the **classical** estimator (:func:`estimate`) — abstract work units
-  proportional to rows visited, with the usual textbook multipliers
-  (``n log n`` sorts, build+probe hash joins, per-row index descents).
-  The serving layer's shortest-job-first policy orders queries by it.
-* the **energy** estimator (:class:`EnergyModel`) — predicts the MS
-  micro-op counts (L1D, Reg2L1D, L2, L3, mem, pf, stall; §2.4) a plan
-  would generate under one engine profile and prices them with the
-  calibrated per-micro-op energies ``dE_m``
-  (:class:`repro.core.MicroOpPricing`), yielding a predicted J/query.
-  The optimizer (:mod:`repro.db.optimizer`) minimises this.
+:class:`EnergyModel` predicts the MS micro-op counts (L1D, Reg2L1D, L2,
+L3, mem, pf, stall; §2.4) a plan would generate under one engine
+profile and prices them with the calibrated per-micro-op energies
+``dE_m`` (:class:`repro.core.MicroOpPricing`), yielding a predicted
+J/query.  The optimizer (:mod:`repro.db.optimizer`) minimises it and
+the serving layer's shortest-job-first policy orders queries by it.
+The cardinality pieces it builds on (:func:`predicate_selectivity` and
+the selectivity constants) live here too.
 
 No randomness enters anywhere, so estimates depend only on the
 catalog's table sizes: two datasets at the same tier may differ
@@ -52,6 +48,9 @@ from repro.db.planner import (
     Project,
     Scan,
     Sort,
+    _range_bounds,
+    choose_range_conjunct,
+    index_nl_column,
 )
 from repro.db.profiles import CLUSTERED, INDEX_NL_JOIN, EngineProfile
 
@@ -71,15 +70,6 @@ EQ_SELECTIVITY = 0.10
 RANGE_SELECTIVITY = DEFAULT_SELECTIVITY
 BETWEEN_SELECTIVITY = 0.30
 STRING_MATCH_SELECTIVITY = 0.15
-
-#: Relative per-row weights (scan rows are the unit of work).
-ROW_VISIT_COST = 1.0
-ROW_PRODUCE_COST = 0.25
-HASH_BUILD_COST = 1.5
-HASH_PROBE_COST = 1.0
-SORT_COST = 0.5
-AGG_UPDATE_COST = 0.75
-INDEX_DESCENT_COST = 2.0
 
 
 # ------------------------------------------------------------- selectivity
@@ -122,21 +112,6 @@ def predicate_selectivity(predicate: Optional[Expr]) -> float:
     return max(MIN_SELECTIVITY, min(1.0, out))
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """Estimated work units and output cardinality of a logical node.
-
-    ``startup`` is the blocking portion of ``cost``: work that must
-    finish before the first row can be emitted (hash builds, sorts,
-    aggregations).  ``cost - startup`` is pipelined per-row work that an
-    enclosing ``Limit`` cuts short.
-    """
-
-    cost: float
-    rows: float
-    startup: float = 0.0
-
-
 def tables_used(node: Logical) -> tuple[str, ...]:
     """Base tables scanned anywhere in the tree, sorted and deduplicated.
 
@@ -156,83 +131,6 @@ def tables_used(node: Logical) -> tuple[str, ...]:
         else:
             stack.append(current.child)
     return tuple(sorted(names))
-
-
-def estimate(catalog: Catalog, node: Logical) -> CostEstimate:
-    """Bottom-up cost and cardinality estimate for one logical tree."""
-    if isinstance(node, Scan):
-        n_rows = float(catalog.table(node.table).storage.n_rows)
-        rows = n_rows * predicate_selectivity(node.predicate)
-        cost = n_rows * ROW_VISIT_COST
-        if node.access == "index_order":
-            cost += n_rows * INDEX_DESCENT_COST
-        return CostEstimate(cost, max(rows, MIN_ROW_ESTIMATE))
-    if isinstance(node, Join):
-        left = estimate(catalog, node.left)
-        right = estimate(catalog, node.right)
-        cost = (left.cost + right.cost
-                + right.rows * HASH_BUILD_COST
-                + left.rows * HASH_PROBE_COST)
-        if node.kind in ("semi", "anti"):
-            rows = left.rows * DEFAULT_SELECTIVITY
-        else:
-            # Key-FK heuristic: the output is about as large as the
-            # bigger input, never the cross product.
-            rows = max(left.rows, right.rows)
-        # The build side must finish before the probe side streams.
-        startup = left.startup + right.cost + right.rows * HASH_BUILD_COST
-        return CostEstimate(cost, max(rows, MIN_ROW_ESTIMATE),
-                            min(startup, cost))
-    if isinstance(node, Filter):
-        child = estimate(catalog, node.child)
-        rows = child.rows * predicate_selectivity(node.predicate)
-        return CostEstimate(
-            child.cost + child.rows * ROW_VISIT_COST,
-            max(rows, MIN_ROW_ESTIMATE),
-            child.startup,
-        )
-    if isinstance(node, Project):
-        child = estimate(catalog, node.child)
-        return CostEstimate(
-            child.cost + child.rows * ROW_PRODUCE_COST, child.rows,
-            child.startup,
-        )
-    if isinstance(node, Aggregate):
-        child = estimate(catalog, node.child)
-        groups = math.sqrt(child.rows) if node.group_by else 1.0
-        cost = child.cost + child.rows * AGG_UPDATE_COST
-        # Hash aggregation is blocking: nothing streams until the whole
-        # input has been consumed.
-        return CostEstimate(cost, max(groups, MIN_ROW_ESTIMATE), cost)
-    if isinstance(node, Sort):
-        child = estimate(catalog, node.child)
-        n = max(child.rows, 2.0)
-        rows = child.rows if node.limit is None else min(child.rows,
-                                                         float(node.limit))
-        cost = child.cost + SORT_COST * n * math.log2(n)
-        return CostEstimate(cost, max(rows, MIN_ROW_ESTIMATE), cost)
-    if isinstance(node, Limit):
-        child = estimate(catalog, node.child)
-        rows = min(child.rows, float(node.n))
-        # A limit stops pulling once satisfied: the child's blocking
-        # (startup) work is paid in full, but its pipelined portion only
-        # runs for the fraction of rows actually pulled.
-        fraction = min(1.0, float(node.n) / max(child.rows, 1.0))
-        cost = child.startup + (child.cost - child.startup) * fraction
-        return CostEstimate(cost, max(rows, MIN_ROW_ESTIMATE), child.startup)
-    if isinstance(node, Distinct):
-        child = estimate(catalog, node.child)
-        return CostEstimate(
-            child.cost + child.rows * HASH_PROBE_COST,
-            max(child.rows * 0.5, MIN_ROW_ESTIMATE),
-            child.startup,
-        )
-    raise PlanError(f"unknown logical node {type(node).__name__}")
-
-
-def estimate_cost(catalog: Catalog, node: Logical) -> float:
-    """The scalar work-unit estimate the SJF scheduler orders by."""
-    return estimate(catalog, node).cost
 
 
 # ------------------------------------------------------------ energy model
@@ -648,8 +546,6 @@ class EnergyModel:
                                and node.predicate is not None):
             # Mirror the planner: these profiles turn a range conjunct
             # on an indexed column into a range scan on their own.
-            from repro.db.planner import choose_range_conjunct
-
             chosen = choose_range_conjunct(table, node.predicate)
             if chosen is not None:
                 access = chosen[0]
@@ -690,7 +586,6 @@ class EnergyModel:
     def _range_fraction(self, node: Scan, column: str) -> float:
         """Fraction of the table the range conjunct on ``column`` keeps."""
         from repro.db.exprs import conjuncts
-        from repro.db.planner import _range_bounds
 
         for part in conjuncts(node.predicate):
             bounds = _range_bounds(part)
@@ -708,7 +603,8 @@ class EnergyModel:
         else:
             out_rows = None  # fixed below once the right side is known
 
-        if self._index_nl_viable(node):
+        if (self.profile.join_strategy == INDEX_NL_JOIN
+                and index_nl_column(self.catalog, node) is not None):
             table, n_rows, table_bytes = self._table(node.right.table)
             right_bytes = float(table.schema.row_size)
             if out_rows is None:
@@ -767,28 +663,6 @@ class EnergyModel:
         return self._finish(f"HashJoin({node.kind})", rows, row_bytes,
                             counts, [left, right],
                             startup_j=left.startup_j + build_j)
-
-    def _index_nl_viable(self, node: Join) -> bool:
-        """Mirror of the planner's index nested-loop candidacy check."""
-        from repro.db.exprs import Col
-
-        if self.profile.join_strategy != INDEX_NL_JOIN:
-            return False
-        right = node.right
-        if not isinstance(right, Scan) or right.access not in (None, "seq"):
-            return False
-        if not isinstance(node.right_key, Col):
-            return False
-        table = self.catalog.table(right.table)
-        column = node.right_key.name
-        if column not in table.schema:
-            return False
-        if table.index_on(column) is not None:
-            return True
-        storage = table.storage
-        return (self.profile.table_storage == CLUSTERED
-                and getattr(storage, "key_column", None) is not None
-                and storage.key_column == table.schema.index_of(column))
 
     def _aggregate(self, node: Aggregate) -> NodeEnergy:
         child = self._node(node.child)

@@ -230,21 +230,11 @@ class Planner:
             return self._range_scan(table, node.access, node.predicate, touched)
         # Planner's choice: try to turn one conjunct into an index range.
         if self.profile.prefer_index_scan and node.predicate is not None:
-            chosen = self._choose_range_conjunct(table, node.predicate)
+            chosen = choose_range_conjunct(table, node.predicate)
             if chosen is not None:
                 column, lo, hi, residual = chosen
                 return IndexRangeScanOp(table, column, lo, hi, residual, touched)
         return SeqScanOp(table, node.predicate, touched)
-
-    @staticmethod
-    def _is_clustered_key(table: TableDef, column: str) -> bool:
-        return is_clustered_key(table, column)
-
-    def _has_access_path(self, table: TableDef, column: str) -> bool:
-        return has_access_path(table, column)
-
-    def _choose_range_conjunct(self, table: TableDef, predicate: Expr):
-        return choose_range_conjunct(table, predicate)
 
     def _range_scan(self, table: TableDef, column: str,
                     predicate: Optional[Expr], touched) -> PhysicalOp:
@@ -267,42 +257,20 @@ class Planner:
     def _lower_join(self, node: Join, used: set[str]) -> PhysicalOp:
         left = self._lower(node.left, used)
         if self.profile.join_strategy == INDEX_NL_JOIN:
-            inner = self._index_nl_candidate(node, used)
-            if inner is not None:
-                return inner.bind(left)
+            column = index_nl_column(self.catalog, node)
+            if column is not None:
+                table = self.catalog.table(node.right.table)
+                return IndexNLJoinOp(
+                    left, table, node.left_key, column, node.kind,
+                    inner_predicate=node.right.predicate,
+                    touched_inner=self._touched(table, used),
+                )
         if self.profile.join_strategy not in (HASH_JOIN, INDEX_NL_JOIN):
             raise PlanError(
                 f"unknown join strategy {self.profile.join_strategy!r}"
             )
         right = self._lower(node.right, used)
         return HashJoinOp(left, right, node.left_key, node.right_key, node.kind)
-
-    def _index_nl_candidate(self, node: Join, used: set[str]):
-        """If the right side is a plain scan whose join column has an
-        access path, produce an index nested-loop join binder."""
-        right = node.right
-        if not isinstance(right, Scan) or right.access not in (None, "seq"):
-            return None
-        if not isinstance(node.right_key, Col):
-            return None
-        table = self.catalog.table(right.table)
-        column = node.right_key.name
-        if column not in table.schema or not self._has_access_path(table, column):
-            return None
-        touched = self._touched(table, used)
-        predicate = right.predicate
-        outer_key = node.left_key
-        kind = node.kind
-
-        class _Binder:
-            @staticmethod
-            def bind(outer: PhysicalOp) -> PhysicalOp:
-                return IndexNLJoinOp(
-                    outer, table, outer_key, column, kind,
-                    inner_predicate=predicate, touched_inner=touched,
-                )
-
-        return _Binder
 
     # -- everything else ----------------------------------------------------
 
@@ -355,6 +323,26 @@ def has_access_path(table: TableDef, column: str) -> bool:
     return is_clustered_key(table, column) or (
         table.index_on(column) is not None
     )
+
+
+def index_nl_column(catalog: Catalog, join: Join) -> Optional[str]:
+    """The inner column an index nested-loop join would probe, or None.
+
+    ``join`` lowers to an index nested loop (on ``index_nl`` profiles)
+    only when its right side is a plain scan and its right key is a
+    column of that table with an access path.  The planner and the
+    energy model both ask this one question.
+    """
+    right = join.right
+    if not isinstance(right, Scan) or right.access not in (None, "seq"):
+        return None
+    if not isinstance(join.right_key, Col):
+        return None
+    table = catalog.table(right.table)
+    column = join.right_key.name
+    if column not in table.schema or not has_access_path(table, column):
+        return None
+    return column
 
 
 def choose_range_conjunct(table: TableDef, predicate: Expr):

@@ -5,7 +5,7 @@ request runs next?*  All policies are deterministic — ties break on
 arrival order — so a serve run is a pure function of its seed.
 
 * :class:`FifoPolicy` — arrival order.  The baseline.
-* :class:`SjfPolicy` — smallest planner cost estimate first
+* :class:`SjfPolicy` — smallest predicted joules first
   (shortest-job-first); minimises mean latency under load.
 * :class:`LocalityPolicy` — energy-aware locality batching: prefer
   requests touching the tables that are currently *hot* (the tables of
@@ -60,7 +60,8 @@ class FifoPolicy(SchedulingPolicy):
 
 
 class SjfPolicy(SchedulingPolicy):
-    """Shortest job first, keyed on the planner's cost estimate."""
+    """Shortest job first, keyed on :attr:`JobTemplate.cost` (predicted
+    joules for SQL jobs)."""
 
     name = "sjf"
 

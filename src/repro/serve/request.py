@@ -1,8 +1,8 @@
 """Requests and job templates: the unit of work the serving layer moves.
 
 A :class:`JobTemplate` is an issuable query shape — a name, the base
-tables it touches (the locality policy's key), a planner cost estimate
-(the SJF policy's key), and a factory producing a fresh work iterator.
+tables it touches (the locality policy's key), a cost (the SJF
+policy's key), and a factory producing a fresh work iterator.
 One ``next()`` on the iterator is one unit of progress (a result row
 for SQL jobs, one operation for key-value jobs); the serving layer
 time-slices by pulling a quantum of units at a time.
@@ -47,7 +47,8 @@ class JobTemplate:
     name: str
     #: Base tables the job touches (locality-batching key).
     tables: tuple[str, ...]
-    #: Planner cost estimate in abstract work units (SJF key).
+    #: SJF key: the energy model's predicted J for SQL jobs, a fixed
+    #: per-operation weight for ``kv`` and ``points`` jobs.
     cost: float
     #: ``make(slot)`` returns a fresh work iterator bound to an
     #: execution slot (slots keep temp-arena addresses warm per core).

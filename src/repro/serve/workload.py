@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.db.costs import estimate_cost, tables_used
+from repro.db.costs import EnergyModel, tables_used
 from repro.db.engine import Database
 from repro.db.exprs import Col
 from repro.db.operators import AggSpec
@@ -86,11 +86,16 @@ class QueryMix:
         return self._cycles[client_index % len(self._cycles)]
 
 
-def _sql_job(db: Database, name: str, plan: Logical) -> JobTemplate:
+def _sql_job(db: Database, model: EnergyModel, name: str,
+             plan: Logical) -> JobTemplate:
+    """A plan-backed job whose SJF cost is ``model``'s predicted J.
+
+    Each mix builds one model with no statistics and no calibration, so
+    plans are priced with Table-2 micro-op magnitudes."""
     return JobTemplate(
         name=name,
         tables=tables_used(plan),
-        cost=estimate_cost(db.catalog, plan),
+        cost=model.plan_energy_j(plan),
         make=lambda slot, plan=plan: db.execute_iter(plan, slot=slot),
     )
 
@@ -103,18 +108,20 @@ def _rotated(jobs: Sequence[JobTemplate], n_clients: int):
 
 
 def _basic_mix(db: Database, n_clients: int) -> QueryMix:
-    jobs = [_sql_job(db, name, basic_operation_plan(name))
+    model = EnergyModel(db.catalog, db.profile)
+    jobs = [_sql_job(db, model, name, basic_operation_plan(name))
             for name in BASIC_OPERATIONS]
     return QueryMix("basic", _rotated(jobs, n_clients))
 
 
 def _tpch_mix(db: Database, n_clients: int) -> QueryMix:
+    model = EnergyModel(db.catalog, db.profile)
     jobs = []
     for number in TPCH_SERVE_QUERIES:
         query = QUERIES[number]
         if query.plan is None:  # pragma: no cover - subset is plan-backed
             continue
-        jobs.append(_sql_job(db, f"Q{number}", query.plan))
+        jobs.append(_sql_job(db, model, f"Q{number}", query.plan))
     return QueryMix("tpch", _rotated(jobs, n_clients))
 
 
@@ -127,10 +134,11 @@ def _thrash_plan(table: str, column: str) -> Logical:
 
 
 def _thrash_mix(db: Database, n_clients: int) -> QueryMix:
+    model = EnergyModel(db.catalog, db.profile)
     cycles = []
     for i in range(max(1, n_clients)):
         table, column = THRASH_TABLES[i % len(THRASH_TABLES)]
-        cycles.append([_sql_job(db, f"scan-{table}",
+        cycles.append([_sql_job(db, model, f"scan-{table}",
                                 _thrash_plan(table, column))])
     return QueryMix("thrash", cycles)
 

@@ -1,14 +1,16 @@
 """Tests of the planner cost model (``repro.db.costs``).
 
-Two properties the serving layer depends on:
+The serving layer's shortest-job-first policy orders jobs by the
+uncalibrated :class:`EnergyModel`'s predicted joules, so it depends on
+two properties:
 
-* estimates are *monotone in table size* — a bigger table costs more,
-  so SJF ordering tracks real work;
-* estimates and join orders are *stable across data seeds* — the model
-  reads only catalog cardinalities, so regenerating the same tier with
-  a different seed never changes a join order or the relative cost
+* predictions are *monotone in work* — a bigger table, a join, or an
+  extra operator costs more, so SJF ordering tracks real work;
+* predictions and join orders are *stable across data seeds* — the
+  model reads only catalog cardinalities, so regenerating the same tier
+  with a different seed never changes a join order or the relative
   ranking SJF schedules by (generated row counts may differ slightly,
-  so absolute costs are not byte-identical).
+  so absolute joules are not byte-identical).
 """
 
 import pytest
@@ -19,8 +21,7 @@ from repro.db.costs import (
     MIN_ROW_ESTIMATE,
     MIN_SELECTIVITY,
     RANGE_SELECTIVITY,
-    estimate,
-    estimate_cost,
+    EnergyModel,
     predicate_selectivity,
     tables_used,
 )
@@ -36,6 +37,11 @@ def loaded(tier, seed=20200330):
     db = Database(machine, postgres_like(), name=f"db-{tier}-{seed}")
     load_into(db, TpchData(tier, seed=seed))
     return db
+
+
+def model(db) -> EnergyModel:
+    """The SJF pricer: no statistics, Table-2 magnitudes."""
+    return EnergyModel(db.catalog, db.profile)
 
 
 @pytest.fixture(scope="module")
@@ -55,67 +61,72 @@ def db_small_reseeded():
 
 class TestMonotonicity:
     def test_scan_cost_grows_with_table_size(self, db_small, db_big):
+        # nation is fixed-size across tiers, so it is not listed.
+        small, big = model(db_small), model(db_big)
         for table in ("lineitem", "orders", "customer"):
-            small = estimate_cost(db_small.catalog, Scan(table))
-            big = estimate_cost(db_big.catalog, Scan(table))
-            assert big > small > 0
+            assert (big.plan_energy_j(Scan(table))
+                    > small.plan_energy_j(Scan(table)) > 0)
 
     def test_bigger_tables_cost_more_than_smaller(self, db_small):
-        catalog = db_small.catalog
-        assert (estimate_cost(catalog, Scan("lineitem"))
-                > estimate_cost(catalog, Scan("orders"))
-                > estimate_cost(catalog, Scan("nation")))
+        m = model(db_small)
+        assert (m.plan_energy_j(Scan("lineitem"))
+                > m.plan_energy_j(Scan("orders"))
+                > m.plan_energy_j(Scan("nation")))
 
     def test_operators_add_cost(self, db_small):
-        catalog = db_small.catalog
+        # Subtree joules, not plan_energy_j: the output sink prices
+        # every emitted row, so a bare scan emits more than a filter.
+        m = model(db_small)
         scan = Scan("lineitem")
-        base = estimate_cost(catalog, scan)
+        base = m.estimate(scan).total_j
         filtered = Filter(scan, Col("l_quantity") > Const(10))
         agg = Aggregate(scan, (), (AggSpec("n", "count"),))
         sort = Sort(scan, ((Col("l_quantity"), False),))
-        assert estimate_cost(catalog, filtered) > base
-        assert estimate_cost(catalog, agg) > base
-        assert estimate_cost(catalog, sort) > base
+        assert m.estimate(filtered).total_j > base
+        assert m.estimate(agg).total_j > base
+        assert m.estimate(sort).total_j > base
 
     def test_filter_reduces_estimated_rows(self, db_small):
-        catalog = db_small.catalog
-        scan = estimate(catalog, Scan("lineitem"))
-        filtered = estimate(
-            catalog, Filter(Scan("lineitem"), Col("l_quantity") > Const(10))
-        )
+        m = model(db_small)
+        scan = m.estimate(Scan("lineitem"))
+        filtered = m.estimate(
+            Filter(Scan("lineitem"), Col("l_quantity") > Const(10)))
         assert 0 < filtered.rows < scan.rows
 
     def test_join_cost_exceeds_both_inputs(self, db_small):
-        catalog = db_small.catalog
+        m = model(db_small)
         join = Join(Scan("orders"), Scan("lineitem"),
                     Col("o_orderkey"), Col("l_orderkey"))
-        cost = estimate_cost(catalog, join)
-        assert cost > estimate_cost(catalog, Scan("orders"))
-        assert cost > estimate_cost(catalog, Scan("lineitem"))
+        cost = m.plan_energy_j(join)
+        assert cost > m.plan_energy_j(Scan("orders"))
+        assert cost > m.plan_energy_j(Scan("lineitem"))
 
 
 class TestSeedStability:
     def test_cost_ranking_stable_across_data_seeds(self, db_small,
                                                    db_small_reseeded):
-        # SJF only needs the *ordering* of estimates; that must not
+        # SJF only needs the *ordering* of predictions; that must not
         # depend on which seed generated the data.
         def ranking(db):
+            m = model(db)
             return sorted(
                 (1, 3, 6, 12, 14),
-                key=lambda n: estimate_cost(db.catalog, QUERIES[n].plan),
+                key=lambda n: m.plan_energy_j(QUERIES[n].plan),
             )
 
+        assert ranking(db_small) == [6, 1, 14, 3, 12]
         assert ranking(db_small) == ranking(db_small_reseeded)
 
     def test_costs_close_across_data_seeds(self, db_small,
                                            db_small_reseeded):
         # Generated cardinalities jitter a little between seeds, but a
-        # tier pins the scale, so estimates stay within a few percent.
+        # tier pins the scale, so predictions stay within a few percent.
+        a_model, b_model = model(db_small), model(db_small_reseeded)
         for number in (1, 3, 6, 12, 14):
             plan = QUERIES[number].plan
             assert plan is not None
-            a = estimate_cost(db_small.catalog, plan)
-            b = estimate_cost(db_small_reseeded.catalog, plan)
+            a = a_model.plan_energy_j(plan)
+            b = b_model.plan_energy_j(plan)
             assert a == pytest.approx(b, rel=0.25)
 
     def test_join_order_identical_across_data_seeds(self, db_small,
@@ -156,10 +167,11 @@ class TestSelectivityComposition:
             Col("l_discount") <= Const(0.05),
             Col("l_tax") <= Const(0.04),
         ))
-        r1 = estimate(db_small.catalog, one).rows
-        r3 = estimate(db_small.catalog, three).rows
-        # Three range conjuncts estimate well below one (the old code
-        # floored each conjunct at DEFAULT_SELECTIVITY, flattening this).
+        m = model(db_small)
+        r1 = m.estimate(one).rows
+        r3 = m.estimate(three).rows
+        # Three range conjuncts estimate well below one (flooring each
+        # conjunct at DEFAULT_SELECTIVITY would flatten this).
         assert r3 < r1 * RANGE_SELECTIVITY * RANGE_SELECTIVITY * 1.01
 
     def test_composed_selectivity_clamped(self):
@@ -171,33 +183,35 @@ class TestSelectivityComposition:
             *[Col("l_quantity") <= Const(25) for _ in range(40)]))
         plan = Filter(Filter(scan, Col("l_discount") <= Const(0.0)),
                       Col("l_tax") <= Const(0.0))
-        assert estimate(db_small.catalog, plan).rows >= MIN_ROW_ESTIMATE
+        assert model(db_small).estimate(plan).rows >= MIN_ROW_ESTIMATE
 
 
 class TestLimitCost:
-    """Limit caps the *pipelined* portion of its child's cost."""
+    """Limit caps the *pipelined* portion of its child's joules."""
 
     def test_limit_caps_pipelined_scan(self, db_small):
+        m = model(db_small)
         scan = Scan("lineitem")
-        full = estimate(db_small.catalog, scan)
-        limited = estimate(db_small.catalog, Limit(scan, 5))
-        expected = full.startup + (full.cost - full.startup) * (
+        full = m.estimate(scan)
+        limited = m.estimate(Limit(scan, 5))
+        expected = full.startup_j + (full.total_j - full.startup_j) * (
             5.0 / full.rows)
-        assert limited.cost == pytest.approx(expected)
-        assert limited.cost < full.cost * 0.5
+        assert limited.total_j == pytest.approx(expected)
+        assert limited.total_j < full.total_j * 0.5
         assert limited.rows == 5
 
     def test_limit_cannot_cap_blocking_child(self, db_small):
-        # A sort is blocking: startup == cost, so Limit saves nothing.
+        # A sort is blocking: startup == total, so Limit saves nothing.
+        m = model(db_small)
         plan = Sort(Scan("lineitem"), ((Col("l_quantity"), False),))
-        full = estimate(db_small.catalog, plan)
-        limited = estimate(db_small.catalog, Limit(plan, 5))
-        assert limited.cost == pytest.approx(full.cost)
+        full = m.estimate(plan)
+        limited = m.estimate(Limit(plan, 5))
+        assert limited.total_j == pytest.approx(full.total_j)
 
     def test_oversized_limit_is_free(self, db_small):
+        m = model(db_small)
         scan = Scan("customer")
-        full = estimate(db_small.catalog, scan)
-        limited = estimate(db_small.catalog,
-                           Limit(scan, int(full.rows) * 10))
-        assert limited.cost == pytest.approx(full.cost)
+        full = m.estimate(scan)
+        limited = m.estimate(Limit(scan, int(full.rows) * 10))
+        assert limited.total_j == pytest.approx(full.total_j)
         assert limited.rows == full.rows

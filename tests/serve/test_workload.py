@@ -1,5 +1,7 @@
 """Unit tests of the serve query mixes."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigError
@@ -58,3 +60,36 @@ class TestBuildMix:
 
     def test_mix_names(self):
         assert set(MIXES) == {"basic", "tpch", "thrash", "kv", "points"}
+
+
+def _warm_seconds(machine, job) -> float:
+    """Simulated seconds of one warm execution (after a warm-up run)."""
+    for _ in job.make(0):
+        pass
+    machine.settle()
+    start = machine.time_s
+    for _ in job.make(0):
+        pass
+    machine.settle()
+    return machine.time_s - start
+
+
+class TestSjfCost:
+    def test_basic_costs_order_like_measured_seconds(self, tpch_small):
+        # SJF's key is the energy model's predicted joules; its order
+        # must match measured simulated time on all but a few pairs.
+        from repro import Machine, tiny_intel
+        from repro.db import Database, postgres_like
+        from repro.workloads.tpch import load_into
+
+        db = Database(Machine(tiny_intel()), postgres_like(), name="sjf")
+        load_into(db, tpch_small)
+        jobs = build_mix("basic", db, 1, seed=1).jobs_for_client(0)
+        seconds = [_warm_seconds(db.machine, job) for job in jobs]
+        pairs = list(itertools.combinations(range(len(jobs)), 2))
+        discordant = sum(
+            1 for a, b in pairs
+            if (jobs[a].cost - jobs[b].cost) * (seconds[a] - seconds[b]) < 0
+        )
+        assert len(pairs) == 21
+        assert discordant <= 2
