@@ -34,6 +34,9 @@ NODE_HEADER_BYTES = 24
 #: Bytes of one key and one child pointer.
 KEY_BYTES = 8
 PTR_BYTES = 8
+#: Compute ops after each binary-search probe's key load (see
+#: ``Machine.load_chain``).
+PROBE_OPS = ("cmp", "branch")
 
 
 @dataclass
@@ -147,47 +150,52 @@ class BTree:
     def _binary_search(self, node: _Node, key) -> int:
         """Rightmost position with ``keys[pos] <= key`` (-1 if none).
 
-        Issues one dependent key load + compare + branch per probe —
-        the pointer-chasing cost of tree descent."""
-        machine = self.machine
+        Charges one dependent key load + compare + branch per probe —
+        the pointer-chasing cost of tree descent.  The probe path
+        depends only on key comparisons, which charge nothing, so it is
+        computed first and charged as one chain."""
+        keys = node.keys
+        base = node.region.base + NODE_HEADER_BYTES
         entry_bytes = (
             self.leaf_entry_bytes if node.leaf else self.internal_entry_bytes
         )
-        lo, hi = 0, len(node.keys) - 1
+        probes = []
+        lo, hi = 0, len(keys) - 1
         pos = -1
         while lo <= hi:
             mid = (lo + hi) // 2
-            machine.load(node.entry_addr(mid, entry_bytes), dependent=True)
-            machine.cmp(1)
-            machine.branch(1)
-            if node.keys[mid] <= key:
+            probes.append(base + mid * entry_bytes)
+            if keys[mid] <= key:
                 pos = mid
                 lo = mid + 1
             else:
                 hi = mid - 1
+        self.machine.load_chain(probes, (), PROBE_OPS)
         return pos
 
     def _binary_search_left(self, node: _Node, key) -> int:
         """Rightmost position with ``keys[pos] < key`` (strict; -1 if none).
 
         Used for range starts: with duplicate keys the descent must land
-        on the *leftmost* subtree that can contain ``key``."""
-        machine = self.machine
+        on the *leftmost* subtree that can contain ``key``.  Charged
+        like :meth:`_binary_search`."""
+        keys = node.keys
+        base = node.region.base + NODE_HEADER_BYTES
         entry_bytes = (
             self.leaf_entry_bytes if node.leaf else self.internal_entry_bytes
         )
-        lo, hi = 0, len(node.keys) - 1
+        probes = []
+        lo, hi = 0, len(keys) - 1
         pos = -1
         while lo <= hi:
             mid = (lo + hi) // 2
-            machine.load(node.entry_addr(mid, entry_bytes), dependent=True)
-            machine.cmp(1)
-            machine.branch(1)
-            if node.keys[mid] < key:
+            probes.append(base + mid * entry_bytes)
+            if keys[mid] < key:
                 pos = mid
                 lo = mid + 1
             else:
                 hi = mid - 1
+        self.machine.load_chain(probes, (), PROBE_OPS)
         return pos
 
     def _descend(self, key) -> _Node:

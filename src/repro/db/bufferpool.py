@@ -170,7 +170,7 @@ class BufferPool:
             if self._free:
                 frame_index = self._free.pop()
             else:
-                evicted, frame_index = self._table.popitem(last=False)
+                evicted, frame_index = self._table.popitem(False)
                 self.recycles += 1
                 logger.debug("%s: recycling frame %d (page %s -> %s)",
                              self.label, frame_index, evicted, page_id)

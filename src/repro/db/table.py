@@ -195,7 +195,7 @@ class _LeafPager:
             if hierarchy.l3 is not None:
                 hierarchy.l3.invalidate(line)
         if len(self._cached) >= self.capacity:
-            self._cached.popitem(last=False)
+            self._cached.popitem(False)
         self._cached[key] = None
 
     def clear(self) -> None:

@@ -32,7 +32,9 @@ is proved before the run starts.  A run applies only its LRU moves,
 fills and evictions and charges its counters once; a probe no proof
 covers goes alone through the generic walk, and once a rotation leaves
 all its lines L1D-resident the rest of the call folds into one bulk
-update (see :meth:`BatchExecutor._ring_fast`).
+update (see :meth:`BatchExecutor._ring_fast`).  Dependent probe chains
+(``load_chain``: B-tree, SSTable and bloom descents) take the generic
+walk in one call (see :meth:`BatchExecutor.load_chain`).
 
 The batched path is **bit-identical** to the reference path: it performs
 the same set/LRU mutations in the same order and applies the same cycle
@@ -47,8 +49,8 @@ cycle count, so even the floating-point results are identical.
 
 Executors are swapped via ``Machine.set_exec_mode("reference" |
 "batched")``; the run-level entry points (``load_run``, ``load_list``,
-``store_repeat``) share one signature across both so callers never
-branch on the mode.
+``load_chain``, ``store_repeat``) share one signature across both so
+callers never branch on the mode.
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ _STRIDE_RETRY_CHUNK = 64
 _LEVEL_STATS = ("hits", "misses", "fills", "evictions", "dirty_evictions",
                 "_occupancy")
 _PF_STATS = ("n_trained", "n_pf_l2_issued", "n_pf_l3_issued")
+
+
+#: Probe-chain compute op -> its ``TimingConfig`` issue width; its PMU
+#: counter is ``n_<op>``.
+_OP_WIDTH = {"add": "alu_issue", "mul": "mul_issue", "cmp": "cmp_issue",
+             "branch": "branch_issue"}
 
 
 def _on_grid(cycles: float, stall: float, *prices: float) -> bool:
@@ -150,6 +158,20 @@ class ReferenceExecutor:
             load(base + cursor * LINE_SIZE, dependent)
         return cursor
 
+    def load_chain(self, addrs: Sequence[int], pre: Sequence[str] = (),
+                   post: Sequence[str] = ()) -> None:
+        """Per address: the ``pre`` compute ops, one dependent load, the
+        ``post`` compute ops (``Cpu`` method names, one op each)."""
+        cpu = self.cpu
+        before = [getattr(cpu, op) for op in pre]
+        after = [getattr(cpu, op) for op in post]
+        for addr in addrs:
+            for op in before:
+                op(1)
+            cpu.load(addr, True)
+            for op in after:
+                op(1)
+
     def store_repeat(self, addr: int, n: int) -> None:
         """``n`` stores to the same address."""
         store = self.cpu.store
@@ -202,9 +224,29 @@ class BatchExecutor:
         self.ring_folded_loads = 0
         self.ring_generic_loads = 0
         self.ring_verify_failed: dict = {}
-        #: ``(latencies, exposed, dearest probe, on grid)`` of the ring
-        #: walk's prices (see :meth:`_ring_fast`).
-        self._ring_prices = ([], None, 0.0, False)
+        #: ``(latencies, exposed, dearest probe, on grid)``: the walks'
+        #: load prices per LEVEL_* (see :meth:`_reprice`).
+        self._prices = ([], None, 0.0, False)
+        # The hierarchy's geometry, bound once: the levels, their set
+        # lists (``flush`` clears sets in place), masks and ways, the
+        # dirty-victim fill methods and the prefetcher are never
+        # replaced.  The TCM window, the counter block and the
+        # prefetcher switches can change, so the walks read those per
+        # call.
+        hier = cpu.hierarchy
+        geom = []
+        for lvl in (hier.l1d, hier.l2, hier.l3):
+            geom += ((None,) * 4 if lvl is None
+                     else (lvl, lvl._sets, lvl._set_mask, lvl.assoc))
+        self._geom = (*geom, hier._fill_l2, hier._fill_l3,
+                      hier.prefetcher, hier.prefetcher.observe)
+        #: ``(pre, post)`` op names -> ``(pre, between, post)`` prices and
+        #: the counter names to bump per probe.  See :meth:`load_chain`.
+        self._chain_ops: dict = {}
+        #: Probe-chain regime counters, host-side only like ``ring_*``:
+        #: :meth:`load_chain` calls and the loads they charged.
+        self.chain_walks = 0
+        self.chain_loads = 0
 
     # ------------------------------------------------------------ public API
 
@@ -630,7 +672,7 @@ class BatchExecutor:
                     c.n_l2 += 1
                     c.l2_hits += 1
                     if len(set1) >= l1.assoc:
-                        v, vd = set1.popitem(last=False)
+                        v, vd = set1.popitem(False)
                         l1.evictions += 1
                         if vd:
                             l1.dirty_evictions += 1
@@ -657,6 +699,40 @@ class BatchExecutor:
         # TCM window or deep miss: the per-op model path (those misses
         # do the heavy cascade anyway, so the extra frames are noise).
         return cpu.load(addr, dependent)
+
+    def load_chain(self, addrs: Sequence[int], pre: Sequence[str] = (),
+                   post: Sequence[str] = ()) -> None:
+        """A chain of dependent loads, each between its compute ops.
+
+        Per address, in order: the ``pre`` ops (``Cpu`` method names,
+        one instruction each), a dependent load, the ``post`` ops — the
+        B-tree, SSTable and bloom probes, whose next address depends
+        only on Python-side comparisons that charge nothing, so callers
+        compute the whole path first and charge it here in one walk.
+        The compute ops' cycles go into :meth:`_load_addrs`' loop one
+        op at a time, in reference order, never as a pre-summed price,
+        so the float sums match the per-op path by construction; their
+        instruction counts are integers and are bulk-added.
+        """
+        if not addrs:
+            return
+        key = (pre, post)
+        ops = self._chain_ops.get(key)
+        if ops is None:
+            timing = self.cpu.timing
+            before = tuple(getattr(timing, _OP_WIDTH[op]) for op in pre)
+            after = tuple(getattr(timing, _OP_WIDTH[op]) for op in post)
+            ops = self._chain_ops[key] = (before, after + before, after,
+                                          ["n_" + op for op in (*pre, *post)])
+        cpu = self.cpu
+        cpu.hierarchy.mut_epoch += 1
+        self._load_addrs(addrs, True, False, ops)
+        n = len(addrs)
+        counters = cpu.counters.__dict__
+        for name in ops[3]:
+            counters[name] += n
+        self.chain_walks += 1
+        self.chain_loads += n
 
     def store_one(self, addr: int) -> None:
         """One store instruction, flattened like :meth:`load_one` (the
@@ -698,7 +774,7 @@ class BatchExecutor:
                     c.l2_hits += 1
                     l1.fills += 1
                     if len(set1) >= l1.assoc:
-                        v, vd = set1.popitem(last=False)
+                        v, vd = set1.popitem(False)
                         l1.evictions += 1
                         if vd:
                             l1.dirty_evictions += 1
@@ -875,15 +951,9 @@ class BatchExecutor:
         cycle, inv, fits = memo
         idx = inv[cursor]
         issue = cpu.timing.load_issue
-        prices = self._ring_prices
+        prices = self._prices
         if prices[0] != cpu._latency:
-            # Exposed latency per LEVEL_*, clamped at 0 where the
-            # reference skips the add; cached until a P-state change.
-            exposed = [max(0.0, x / cpu.timing.mlp - issue)
-                       for x in cpu._latency]
-            prices = self._ring_prices = (
-                cpu._latency[:], exposed, issue + max(exposed),
-                _on_grid(0.0, 0.0, issue, *exposed[LEVEL_L2:]))
+            prices = self._reprice()
         _, exposed, dearest, exact = prices
         if exact:
             cyc = c.cycles
@@ -1460,7 +1530,7 @@ class BatchExecutor:
                     break       # deeper miss: irregular cascade
                 set2.move_to_end(ln)
                 if len(set1) >= a1:
-                    v, vd = set1.popitem(last=False)
+                    v, vd = set1.popitem(False)
                     ev1 += 1
                     if vd:
                         dev1 += 1
@@ -1476,7 +1546,7 @@ class BatchExecutor:
                         n_pf_l2 += 1
                         f2 += 1
                         if len(pset2) >= a2:
-                            v, vd = pset2.popitem(last=False)
+                            v, vd = pset2.popitem(False)
                             ev2 += 1
                             if vd:
                                 dev2 += 1
@@ -1490,7 +1560,7 @@ class BatchExecutor:
                         pset3 = s3[p2 & m3]
                         f3 += 1
                         if len(pset3) >= a3:
-                            v, vd = pset3.popitem(last=False)
+                            v, vd = pset3.popitem(False)
                             ev3 += 1
                             if vd:
                                 dev3 += 1
@@ -1504,7 +1574,7 @@ class BatchExecutor:
                     n_pf_l3 += 1
                     f3 += 1
                     if len(pset3) >= a3:
-                        v, vd = pset3.popitem(last=False)
+                        v, vd = pset3.popitem(False)
                         ev3 += 1
                         if vd:
                             dev3 += 1
@@ -1545,69 +1615,58 @@ class BatchExecutor:
         pf.n_pf_l3_issued += k
         return k
 
+    def _reprice(self) -> tuple:
+        """Recompute :attr:`_prices` after a P-state change: a copy of
+        the latencies, the exposed latency of an independent miss per
+        LEVEL_* (the reference path's expression, clamped at 0 where it
+        skips the add), the dearest independent probe, and whether
+        those prices are on the dyadic grid of :func:`_on_grid`."""
+        cpu = self.cpu
+        issue = cpu.timing.load_issue
+        exposed = [max(0.0, x / cpu.timing.mlp - issue) for x in cpu._latency]
+        self._prices = (cpu._latency[:], exposed, issue + max(exposed),
+                        _on_grid(0.0, 0.0, issue, *exposed[LEVEL_L2:]))
+        return self._prices
+
     def _load_addrs(self, addrs: Iterable[int], dependent: bool = False,
-                    first_only: bool = False) -> int:
+                    first_only: bool = False, ops=None) -> int:
         """Demand loads for every address in ``addrs``, inlined.
 
         ``dependent`` applies to all loads, or — with ``first_only`` —
-        to just the first one (the ``load_run`` contract).  Returns the
-        number of "impure" accesses (L1D misses + TCM hits); a zero
-        return means the run was pure L1D hits, which is what the
+        to just the first one (the ``load_run`` contract).  ``ops`` is a
+        probe chain's ``(pre, between, post)`` compute prices (see
+        :meth:`load_chain`): ``pre`` before the first load, ``between``
+        (post, then pre) between two loads, ``post`` after the last,
+        each added on its own, in reference order.  Returns the number
+        of "impure" accesses (L1D misses + TCM hits); a zero return
+        means the run was pure L1D hits, which is what the
         ``scan_lines`` replay memo needs to know.
         """
         cpu = self.cpu
         c = cpu.counters
-        hier = cpu.hierarchy
-        l1 = hier.l1d
-        l2 = hier.l2
-        l3 = hier.l3
-        s1 = l1._sets
-        m1 = l1._set_mask
-        a1 = l1.assoc
-        if l2 is not None:
-            s2 = l2._sets
-            m2 = l2._set_mask
-            a2 = l2.assoc
-            fill_l2 = hier._fill_l2
-        if l3 is not None:
-            s3 = l3._sets
-            m3 = l3._set_mask
-            a3 = l3.assoc
-            fill_l3 = hier._fill_l3
-        tcm = hier.tcm_region
+        (l1, s1, m1, a1, l2, s2, m2, a2, l3, s3, m3, a3,
+         fill_l2, fill_l3, pf, observe) = self._geom
+        tcm = cpu.hierarchy.tcm_region
         if tcm is not None:
             tbase = tcm.base
             tend = tcm.base + tcm.size
         else:
             tbase = 1
             tend = 0
-        pf = hier.prefetcher
-        observe = pf.observe
         # A disabled prefetcher's observe() returns empty ranges and
         # touches no state, so skipping the call is exact.
         pf_on = pf.enabled and pf.n_streams > 0
-        lat = cpu._latency
-        lat_tcm = lat[LEVEL_TCM]
-        lat_l1 = lat[LEVEL_L1D]
-        lat_l2 = lat[LEVEL_L2]
-        lat_l3 = lat[LEVEL_L3]
-        lat_mem = lat[LEVEL_MEM]
-        timing = cpu.timing
-        issue = timing.load_issue
-        mlp = timing.mlp
-        # Same expression the reference path evaluates per op.
-        exp_l2 = lat_l2 / mlp - issue
-        exp_l3 = lat_l3 / mlp - issue
-        exp_mem = lat_mem / mlp - issue
+        prices = self._prices
+        if prices[0] != cpu._latency:
+            prices = self._reprice()
+        lat_tcm, lat_l1, lat_l2, lat_l3, lat_mem = prices[0]
+        _, _, exp_l2, exp_l3, exp_mem = prices[1]
+        issue = cpu.timing.load_issue
 
+        # Per-level accesses and hits follow from the per-level stats
+        # (an L1D miss is an L2 access, and so on down), so the loop
+        # counts each event once and the flush derives the PMU fields.
         n_inst = 0
-        n_l1d = 0
-        l1d_hits = 0
-        n_l2 = 0
-        l2_hits = 0
-        n_l3 = 0
-        l3_hits = 0
-        n_mem = 0
         n_tcm = 0
         n_wb = 0
         n_pf_l2 = 0
@@ -1618,8 +1677,13 @@ class BatchExecutor:
         cyc = c.cycles
         stall = c.stall_cycles
         dep = dependent
+        gap = None if ops is None else ops[0]
 
         for addr in addrs:
+            if gap is not None:
+                for p in gap:
+                    cyc += p
+                gap = ops[1]
             n_inst += 1
             if tbase <= addr < tend:
                 n_tcm += 1
@@ -1636,8 +1700,6 @@ class BatchExecutor:
             if line in set1:
                 set1.move_to_end(line)
                 h1 += 1
-                n_l1d += 1
-                l1d_hits += 1
                 if dep:
                     cyc += lat_l1
                     stall += lat_l1 - 1.0
@@ -1647,45 +1709,37 @@ class BatchExecutor:
                     cyc += issue
                 continue
             # ---------------- L1D miss: walk down, fill on the way back
-            n_l1d += 1
             mis1 += 1
             if l2 is None:
-                n_mem += 1
                 lvl_lat = lat_mem
                 exp = exp_mem
             else:
-                n_l2 += 1
                 set2 = s2[line & m2]
                 if line in set2:
                     set2.move_to_end(line)
                     h2 += 1
-                    l2_hits += 1
                     lvl_lat = lat_l2
                     exp = exp_l2
                 else:
                     mis2 += 1
                     if l3 is None:
-                        n_mem += 1
                         lvl_lat = lat_mem
                         exp = exp_mem
                     else:
-                        n_l3 += 1
                         set3 = s3[line & m3]
                         if line in set3:
                             set3.move_to_end(line)
                             h3 += 1
-                            l3_hits += 1
                             lvl_lat = lat_l3
                             exp = exp_l3
                         else:
                             mis3 += 1
-                            n_mem += 1
                             lvl_lat = lat_mem
                             exp = exp_mem
                             # fill L3 (line known absent)
                             f3 += 1
                             if len(set3) >= a3:
-                                v, vd = set3.popitem(last=False)
+                                v, vd = set3.popitem(False)
                                 ev3 += 1
                                 if vd:
                                     dev3 += 1
@@ -1696,7 +1750,7 @@ class BatchExecutor:
                     # fill L2 (line known absent)
                     f2 += 1
                     if len(set2) >= a2:
-                        v, vd = set2.popitem(last=False)
+                        v, vd = set2.popitem(False)
                         ev2 += 1
                         if vd:
                             dev2 += 1
@@ -1709,7 +1763,7 @@ class BatchExecutor:
             # fill L1 (line known absent)
             f1 += 1
             if len(set1) >= a1:
-                v, vd = set1.popitem(last=False)
+                v, vd = set1.popitem(False)
                 ev1 += 1
                 if vd:
                     dev1 += 1
@@ -1732,7 +1786,7 @@ class BatchExecutor:
                             pset = s2[pline & m2]
                             f2 += 1
                             if len(pset) >= a2:
-                                v, vd = pset.popitem(last=False)
+                                v, vd = pset.popitem(False)
                                 ev2 += 1
                                 if vd:
                                     dev2 += 1
@@ -1747,7 +1801,7 @@ class BatchExecutor:
                                 pset = s3[pline & m3]
                                 f3 += 1
                                 if len(pset) >= a3:
-                                    v, vd = pset.popitem(last=False)
+                                    v, vd = pset.popitem(False)
                                     ev3 += 1
                                     if vd:
                                         dev3 += 1
@@ -1761,7 +1815,7 @@ class BatchExecutor:
                         pset = s3[pline & m3]
                         f3 += 1
                         if len(pset) >= a3:
-                            v, vd = pset.popitem(last=False)
+                            v, vd = pset.popitem(False)
                             ev3 += 1
                             if vd:
                                 dev3 += 1
@@ -1779,32 +1833,36 @@ class BatchExecutor:
                 if exp > 0.0:
                     cyc += exp
                     stall += exp
+        if gap is not None and n_inst:
+            for p in ops[2]:
+                cyc += p
 
         c.cycles = cyc
         c.stall_cycles = stall
         c.n_load_inst += n_inst
-        c.n_l1d += n_l1d
-        c.l1d_hits += l1d_hits
+        c.n_l1d += h1 + mis1
+        c.l1d_hits += h1
         l1.hits += h1
         if mis1:
-            c.n_l2 += n_l2
-            c.l2_hits += l2_hits
-            c.n_l3 += n_l3
-            c.l3_hits += l3_hits
-            c.n_mem += n_mem
+            if l2 is None:
+                c.n_mem += mis1
+            else:
+                c.n_l2 += mis1
+                c.l2_hits += h2
+                if l3 is None:
+                    c.n_mem += mis2
+                else:
+                    c.n_l3 += mis2
+                    c.l3_hits += h3
+                    c.n_mem += mis3
             c.n_writeback += n_wb
             c.n_pf_l2 += n_pf_l2
             c.n_pf_l3 += n_pf_l3
-            l1.bulk_account(misses=mis1, fills=f1, evictions=ev1,
-                            dirty_evictions=dev1, occupancy=occ1)
+            l1.bulk_account(0, mis1, f1, ev1, dev1, occ1)
             if l2 is not None:
-                l2.bulk_account(hits=h2, misses=mis2, fills=f2,
-                                evictions=ev2, dirty_evictions=dev2,
-                                occupancy=occ2)
-            if l3 is not None:
-                l3.bulk_account(hits=h3, misses=mis3, fills=f3,
-                                evictions=ev3, dirty_evictions=dev3,
-                                occupancy=occ3)
+                l2.bulk_account(h2, mis2, f2, ev2, dev2, occ2)
+            if l3 is not None and (mis2 or f3):
+                l3.bulk_account(h3, mis3, f3, ev3, dev3, occ3)
         if n_tcm:
             c.n_tcm_load += n_tcm
         return mis1 + n_tcm
@@ -1814,24 +1872,9 @@ class BatchExecutor:
         write-allocate; stores cost one issue slot, never stall)."""
         cpu = self.cpu
         c = cpu.counters
-        hier = cpu.hierarchy
-        l1 = hier.l1d
-        l2 = hier.l2
-        l3 = hier.l3
-        s1 = l1._sets
-        m1 = l1._set_mask
-        a1 = l1.assoc
-        if l2 is not None:
-            s2 = l2._sets
-            m2 = l2._set_mask
-            a2 = l2.assoc
-            fill_l2 = hier._fill_l2
-        if l3 is not None:
-            s3 = l3._sets
-            m3 = l3._set_mask
-            a3 = l3.assoc
-            fill_l3 = hier._fill_l3
-        tcm = hier.tcm_region
+        (l1, s1, m1, a1, l2, s2, m2, a2, l3, s3, m3, a3,
+         fill_l2, fill_l3, _, _) = self._geom
+        tcm = cpu.hierarchy.tcm_region
         if tcm is not None:
             tbase = tcm.base
             tend = tcm.base + tcm.size
@@ -1892,7 +1935,7 @@ class BatchExecutor:
                             n_mem += 1
                             f3 += 1
                             if len(set3) >= a3:
-                                v, vd = set3.popitem(last=False)
+                                v, vd = set3.popitem(False)
                                 ev3 += 1
                                 if vd:
                                     dev3 += 1
@@ -1902,7 +1945,7 @@ class BatchExecutor:
                             set3[line] = False
                     f2 += 1
                     if len(set2) >= a2:
-                        v, vd = set2.popitem(last=False)
+                        v, vd = set2.popitem(False)
                         ev2 += 1
                         if vd:
                             dev2 += 1
@@ -1916,7 +1959,7 @@ class BatchExecutor:
                 n_mem += 1
             f1 += 1
             if len(set1) >= a1:
-                v, vd = set1.popitem(last=False)
+                v, vd = set1.popitem(False)
                 ev1 += 1
                 if vd:
                     dev1 += 1
@@ -1940,13 +1983,8 @@ class BatchExecutor:
         c.n_mem += n_mem
         c.n_tcm_store += n_tcm
         c.n_writeback += n_wb
-        l1.bulk_account(hits=h1, misses=mis1, fills=f1, evictions=ev1,
-                        dirty_evictions=dev1, occupancy=occ1)
+        l1.bulk_account(h1, mis1, f1, ev1, dev1, occ1)
         if l2 is not None:
-            l2.bulk_account(hits=h2, misses=mis2, fills=f2,
-                            evictions=ev2, dirty_evictions=dev2,
-                            occupancy=occ2)
+            l2.bulk_account(h2, mis2, f2, ev2, dev2, occ2)
         if l3 is not None:
-            l3.bulk_account(hits=h3, misses=mis3, fills=f3,
-                            evictions=ev3, dirty_evictions=dev3,
-                            occupancy=occ3)
+            l3.bulk_account(h3, mis3, f3, ev3, dev3, occ3)

@@ -102,7 +102,7 @@ class CacheLevel:
         self.fills += 1
         victim = None
         if len(cache_set) >= self.assoc:
-            victim_line, victim_dirty = cache_set.popitem(last=False)
+            victim_line, victim_dirty = cache_set.popitem(False)
             self.evictions += 1
             if victim_dirty:
                 self.dirty_evictions += 1

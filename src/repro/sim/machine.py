@@ -143,7 +143,8 @@ class Machine:
         # Run-level execution engine: "batched" inlines whole runs of
         # line accesses (bit-identical counters/energy/clock, see
         # repro.sim.batch); "reference" keeps the per-op model path.
-        # scan_lines/load_bytes/store_bytes re-exports follow the mode.
+        # scan_lines/load_bytes/store_bytes/load_chain re-exports follow
+        # the mode.
         self._executors = {
             "reference": ReferenceExecutor(self.cpu),
             "batched": BatchExecutor(self.cpu),
@@ -164,6 +165,7 @@ class Machine:
         self.scan_lines = ex.scan_lines
         self.load_bytes = ex.load_bytes
         self.store_bytes = ex.store_bytes
+        self.load_chain = ex.load_chain
         # Direct per-op load/store mutate cache state behind the batched
         # executor's back, so in batched mode they bump the hierarchy's
         # mutation epoch (which invalidates the scan-replay memo).  The

@@ -28,13 +28,17 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.db.btree import BTree
+from repro.db.btree import PROBE_OPS, BTree
 from repro.errors import ConfigError
 from repro.sim.address_space import LINE_SIZE
 from repro.sim.machine import Machine
 
 #: Bytes per stored entry (16B key/metadata + value payload).
 ENTRY_KEY_BYTES = 16
+#: A bloom probe's compute ops around its bit-array load: hash the key
+#: (mul, add) before, test the bit (cmp) after.
+_HASH_OPS = ("mul", "add")
+_TEST_OPS = ("cmp",)
 
 
 class BloomFilter:
@@ -66,17 +70,18 @@ class BloomFilter:
             self._bits.add(position)
 
     def maybe_contains(self, key: int) -> bool:
-        machine = self.machine
+        """Per hash: hash it (mul, add), load its line, test the bit
+        (cmp); the first unset bit ends the probe chain."""
+        base = self.region.base
+        probes = []
+        found = True
         for position in self._positions(key):
-            machine.mul(1)
-            machine.add(1)
-            machine.load(self.region.base
-                         + (position // 8 // LINE_SIZE) * LINE_SIZE,
-                         dependent=True)
-            machine.cmp(1)
+            probes.append(base + (position // 8 // LINE_SIZE) * LINE_SIZE)
             if position not in self._bits:
-                return False
-        return True
+                found = False
+                break
+        self.machine.load_chain(probes, _HASH_OPS, _TEST_OPS)
+        return found
 
 
 class SSTable:
@@ -118,22 +123,26 @@ class SSTable:
         if not self.entries or not self.bloom.maybe_contains(key):
             return None
         machine = self.machine
-        lo, hi = 0, len(self.entries) - 1
+        entries = self.entries
+        probes = []
+        hit = False
+        lo, hi = 0, len(entries) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            machine.load(self._entry_addr(mid), dependent=True)
-            machine.cmp(1)
-            machine.branch(1)
-            entry_key, value = self.entries[mid]
+            probes.append(self._entry_addr(mid))
+            entry_key, value = entries[mid]
             if entry_key == key:
-                machine.load_bytes(self._entry_addr(mid) + ENTRY_KEY_BYTES,
-                                   self.value_bytes)
-                return value
+                hit = True
+                break
             if entry_key < key:
                 lo = mid + 1
             else:
                 hi = mid - 1
-        return None
+        machine.load_chain(probes, (), PROBE_OPS)
+        if not hit:
+            return None
+        machine.load_bytes(probes[-1] + ENTRY_KEY_BYTES, self.value_bytes)
+        return value
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple]:
         """Sequential range read (prefetcher-friendly)."""

@@ -14,14 +14,19 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import tiny_arm, tiny_intel
+from repro.db.btree import PROBE_OPS, BTree
 from repro.micro.framework import shuffled_chain_order
 from repro.sim.address_space import Region
+from repro.sim.batch import BatchExecutor
 from repro.sim.machine import Machine
+from repro.sim.tcm import TcmConfig
+from repro.workloads.kvstore import BloomFilter, LsmStore, SSTable
 
 PRESETS = {"intel": tiny_intel, "arm": tiny_arm}
 
@@ -725,6 +730,279 @@ def test_list_memo_cleared_by_exec_mode_round_trip():
         for _ in range(3):
             machine.exec.load_list(addrs, True)
     _assert_modes_agree(body)
+
+
+# ------------------------------------------------------------ probe chains
+
+def _walk_chains(machine: Machine, addrs: list, length: int,
+                 pre=(), post=PROBE_OPS) -> None:
+    for i in range(0, len(addrs), length):
+        machine.load_chain(addrs[i:i + length], pre, post)
+
+
+def _off_grid_intel():
+    base = tiny_intel()
+    return dataclasses.replace(
+        base, timing=dataclasses.replace(base.timing, dram_lat_ns=60.1))
+
+
+@pytest.mark.parametrize("n_lines, level", ((16, "l1d_hits"),
+                                            (200, "l2_hits"),
+                                            (4000, "l3_hits"),
+                                            (20000, "n_mem")))
+def test_load_chain_served_at_every_level(n_lines, level):
+    """Shuffled chains over working sets that fit L1D, L2, L3 and none
+    of them, walked three times in 8-probe chains: the second and third
+    walks are served at the named level."""
+    def body(machine):
+        addrs = _chain(machine, n_lines, "chain")
+        for _ in range(3):
+            _walk_chains(machine, addrs, 8)
+    ex = _assert_modes_agree(body)
+    assert ex.chain_loads == 3 * n_lines
+    assert ex.chain_walks == 3 * -(-n_lines // 8)
+    assert getattr(ex.cpu.counters, level) >= 2 * n_lines * 0.9
+    assert ex.cpu.counters.n_cmp == ex.cpu.counters.n_branch == 3 * n_lines
+
+
+def test_load_chain_dirty_victims_mid_chain():
+    """Store-dirtied lines pushed out of L1D and then L2 by the chains:
+    the write-backs cascade through ``_fill_l2``/``_fill_l3`` mid-walk."""
+    seen = {}
+
+    def body(machine):
+        addrs = _chain(machine, 600, "chain")
+        for a in addrs[::3]:
+            machine.store(a)
+        l1, l2 = machine.hierarchy.l1d, machine.hierarchy.l2
+        before = (l1.dirty_evictions, l2.dirty_evictions)
+        _walk_chains(machine, addrs, 10)
+        seen[machine.exec_mode] = (l1.dirty_evictions - before[0],
+                                   l2.dirty_evictions - before[1])
+    _assert_modes_agree(body)
+    assert seen["reference"] == seen["batched"]
+    assert min(seen["batched"]) > 0
+
+
+def test_load_chain_trains_a_prefetcher_stream():
+    """Chains of consecutive cold lines train a stream; its prefetches
+    fill L2 and L3 between the chain's own probes."""
+    def body(machine):
+        region = machine.address_space.alloc_lines(400, "seq")
+        _walk_chains(machine, [region.line(i) for i in range(400)], 8,
+                     ("mul", "add"), ("cmp",))
+    ex = _assert_modes_agree(body)
+    c = ex.cpu.counters
+    assert ex.cpu.hierarchy.prefetcher.n_trained >= 1
+    assert c.n_pf_l2 > 0 and c.n_pf_l3 > 0 and c.l2_hits > 0
+    assert c.n_mul == c.n_add == c.n_cmp == 400
+
+
+@pytest.mark.parametrize("preset", ("intel", "arm"))
+def test_load_chain_btree_with_dtcm_top_levels(preset):
+    """B-tree lookups, range scans and inserts over a tree whose top
+    levels sit in DTCM: every TCM probe keeps its own exact path."""
+    config = dataclasses.replace(PRESETS[preset](),
+                                 tcm=TcmConfig(size=8 * 1024))
+
+    def body(machine):
+        tree = BTree(machine, "t", payload_bytes=8, node_bytes=256)
+        tree.bulk_load([(k, k) for k in range(0, 3000, 3)])
+        assert tree.relocate_top_levels(machine.tcm, 2048) >= 1
+        rng = random.Random(3)
+        for _ in range(200):
+            key = rng.randrange(3000)
+            tree.search(key)
+            list(tree.range_scan(key, key + 12))
+            tree.insert(key, key)
+    ex = _assert_modes_agree(body, config)
+    assert ex.cpu.counters.n_tcm_load > 0
+    assert ex.chain_loads > 0
+
+
+def test_load_chain_off_grid_dram_latency_across_pstates():
+    """A DRAM latency off the 2**-8 grid, repriced by P-state switches
+    between chains: compute-op cycles interleave with load cycles one
+    add at a time, so the float sums match the per-op path exactly."""
+    def body(machine):
+        addrs = _chain(machine, 12000, "chain")
+        for i, pstate in enumerate((24, 12, 36, 24)):
+            machine.set_pstate(pstate)
+            _walk_chains(machine, addrs[3000 * i:3000 * (i + 1)], 7,
+                         ("mul", "add"), ("cmp",))
+    ex = _assert_modes_agree(body, _off_grid_intel())
+    assert ex.cpu.counters.n_mem == 12000
+
+
+def test_load_chain_adds_compute_cycles_one_at_a_time():
+    """Past 2**52 cycles a half-cycle add rounds, so the sum depends on
+    the order of the adds: the chain must add each compute op on its
+    own, in reference order, never a pre-summed price.  An odd L1D
+    latency makes the accumulator odd between probes, where a
+    pre-summed or reordered gap rounds differently."""
+    base = tiny_intel()
+    config = dataclasses.replace(
+        base, timing=dataclasses.replace(base.timing, lat_l1=5))
+
+    def body(machine):
+        region = machine.address_space.alloc_lines(16, "chain")
+        machine.cpu.counters.cycles = 2.0 ** 52 + 1
+        for _ in range(3):
+            _walk_chains(machine, [region.line(i) for i in range(16)], 8,
+                         ("mul", "add"), ("cmp",))
+    _assert_modes_agree(body, config)
+
+
+def test_load_chain_empty():
+    """An empty chain charges nothing, not even its compute ops."""
+    def body(machine):
+        machine.load_chain([], ("mul", "add"), ("cmp",))
+        machine.load_chain((), (), PROBE_OPS)
+    ex = _assert_modes_agree(body)
+    assert ex.chain_walks == ex.chain_loads == 0
+    assert ex.cpu.counters.instructions == 0
+
+
+@pytest.mark.parametrize("exit_at", (1, 2, None))
+def test_bloom_probe_chain_stops_at_first_unset_bit(exit_at):
+    """A bloom probe charges the hashes up to and including the first
+    unset bit (``exit_at``; None when every bit is set)."""
+    answers = {}
+
+    def first_unset(bloom, key):
+        for i, position in enumerate(bloom._positions(key), 1):
+            if position not in bloom._bits:
+                return i
+        return None
+
+    def body(machine):
+        bloom = BloomFilter(machine, 64)
+        for key in range(0, 640, 10):
+            bloom.add(key)
+        key = next(k for k in range(1, 10 ** 5)
+                   if first_unset(bloom, k) == exit_at)
+        machine.reset_measurements()
+        answers[machine.exec_mode] = bloom.maybe_contains(key)
+    ex = _assert_modes_agree(body)
+    assert answers["reference"] == answers["batched"] == (exit_at is None)
+    probes = exit_at or 2
+    c = ex.cpu.counters
+    assert (c.n_mul, c.n_add, c.n_cmp, c.n_load_inst) == (probes,) * 4
+
+
+def test_sstable_get_charges_the_chain_then_the_value():
+    """A hit charges its probe chain, then the value bytes; a miss that
+    passes the bloom filter charges the whole chain."""
+    def body(machine):
+        table = SSTable(machine, [(k, f"v{k}") for k in range(0, 400, 2)],
+                        value_bytes=64)
+        bloom = table.bloom
+        absent = next(k for k in range(1, 10 ** 5, 2)
+                      if all(p in bloom._bits for p in bloom._positions(k)))
+        machine.reset_measurements()
+        assert table.get(124) == "v124"
+        assert table.get(absent) is None
+    ex = _assert_modes_agree(body)
+    # Two bloom chains of two probes each, then two binary searches.
+    assert ex.chain_walks == 4
+    assert ex.cpu.counters.n_mul == 4
+
+
+_KV_PROGRAMS = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 999)),
+    st.tuples(st.just("get"), st.integers(0, 1099)),
+    st.tuples(st.just("search"), st.integers(0, 1099)),
+    st.tuples(st.just("range"), st.integers(0, 999), st.integers(0, 40)),
+    st.tuples(st.just("insert"), st.integers(0, 999)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("relocate"), st.booleans(), st.integers(0, 8192)),
+    st.tuples(st.just("pf"), st.booleans()),
+    st.tuples(st.just("pstate"), st.integers(8, 36)),
+), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_KV_PROGRAMS, st.booleans())
+def test_generated_btree_and_lsm_programs(program, off_grid):
+    """Random ``BTree``/``LsmStore`` programs — puts, gets, lookups,
+    range scans, inserts, flushes, compactions, DTCM relocation of the
+    tree or the memtable, prefetcher toggles and P-state switches — on
+    a full hierarchy with a DTCM window, against the reference
+    executor."""
+    config = dataclasses.replace(
+        _off_grid_intel() if off_grid else tiny_intel(),
+        tcm=TcmConfig(size=8 * 1024))
+
+    def body(machine):
+        tree = BTree(machine, "t", payload_bytes=8, node_bytes=256)
+        tree.bulk_load([(k, k) for k in range(0, 1000, 2)])
+        store = LsmStore(machine, value_bytes=32, memtable_entries=48,
+                         l0_fanout=2)
+        for key in range(0, 1000, 7):
+            store.put(key, key)
+        for op in program:
+            kind = op[0]
+            if kind == "put":
+                store.put(op[1], op[1])
+            elif kind == "get":
+                store.get(op[1])
+            elif kind == "search":
+                tree.search(op[1])
+            elif kind == "range":
+                list(tree.range_scan(op[1], op[1] + op[2]))
+            elif kind == "insert":
+                tree.insert(op[1], op[1])
+            elif kind == "flush":
+                store.flush()
+            elif kind == "compact":
+                store.compact()
+            elif kind == "relocate":
+                machine.tcm.free_all()
+                target = tree if op[1] else store._memtable
+                target.relocate_top_levels(machine.tcm, op[2])
+            elif kind == "pf":
+                machine.set_prefetcher(op[1])
+            else:
+                machine.set_pstate(op[1])
+    _assert_modes_agree(body, config)
+
+
+#: ``(chain_walks, chain_loads)`` of the seeded kv serve run below.
+KV_CHAIN_REGIMES = (12554, 42814)
+
+
+def test_chain_regimes_on_kv_serve_run(monkeypatch):
+    """The serve ``kv`` shape: every B-tree binary search, SSTable
+    search and bloom probe goes through ``load_chain``, so those
+    callers make no ``Machine.load`` call at all."""
+    from repro.serve import ServeConfig, run_serve
+
+    routed = {BTree._binary_search.__code__,
+              BTree._binary_search_left.__code__,
+              SSTable.get.__code__, BloomFilter.maybe_contains.__code__}
+    executors = []
+    stray = []
+    init = BatchExecutor.__init__
+    load_one = BatchExecutor.load_one
+
+    def tracking_init(self, cpu):
+        init(self, cpu)
+        executors.append(self)
+
+    def counting_load_one(self, addr, dependent=False):
+        if sys._getframe(1).f_code in routed:
+            stray.append(sys._getframe(1).f_code.co_name)
+        return load_one(self, addr, dependent)
+
+    monkeypatch.setattr(BatchExecutor, "__init__", tracking_init)
+    monkeypatch.setattr(BatchExecutor, "load_one", counting_load_one)
+    run_serve(ServeConfig(workload="kv", queries=24, clients=6, tenants=2,
+                          cores=4, mpl=2, seed=7))
+    assert stray == []
+    walks = sum(ex.chain_walks for ex in executors)
+    loads = sum(ex.chain_loads for ex in executors)
+    assert (walks, loads) == KV_CHAIN_REGIMES
 
 
 def test_exec_mode_knob():
