@@ -7,14 +7,15 @@ writes the results to ``BENCH_simperf.json`` at the repository root.
 This is the project's recorded performance trajectory and the CI
 regression gate (see ``.github/workflows/ci.yml``, job ``bench-smoke``).
 
-The headline metrics are the *scan paths*: the sequential line-scan
-access pattern that dominates the paper's fig07 (TPC-H breakdown) and
-fig08 (data-size sweep) workloads.  ``fig07_tpch_scan`` measures the
-steady-state (L1D-resident) table-scan inner loop; ``fig08_datasize_scan``
-measures the same hot-scan regime at each fig08 data tier;
-``cold_stream_scan`` reports the DRAM-streaming (all-miss) regime so the
-fast path's worst case is visible too.  Query wall-clock (Q1/Q6) and a
-serve run round out the picture.
+The headline metrics are the *scan paths*: ``scan_lines``, the
+sequential line scan of the array micro-benchmarks.
+``fig07_tpch_scan`` rescans one L1D-resident buffer, the regime the
+scan-replay memo serves; ``fig08_datasize_scan`` repeats that at each
+fig08 data tier (the section names are historical: the fig07/fig08
+table scans read rows through ``load_run``, measured by
+``row_load_run``); ``cold_stream_scan`` reports the DRAM-streaming
+(all-miss) regime, where every scan takes the generic walk.  Query
+wall-clock (Q1/Q6) and a serve run round out the picture.
 
 Every throughput comparison first re-runs the workload in both modes on
 one machine pair and asserts identical PMU counters — the bench refuses
@@ -489,9 +490,9 @@ def check_regression(current: dict, baseline: dict,
         )
         # Absolute Mops/s tracks the host machine; the batched/reference
         # *ratio* tracks the code.  Gate the ratio too so a fast-path
-        # rot (e.g. the cold-stride preconditions silently failing and
-        # every scan falling back to the generic walk) fails CI even on
-        # a faster runner.
+        # rot (e.g. the scan-replay memo silently disengaging and every
+        # rescan falling back to the generic walk) fails CI even on a
+        # faster runner.
         new_ratio = new_scan.get(key, {}).get("speedup")
         old_ratio = old_scan.get(key, {}).get("speedup")
         if new_ratio and old_ratio:

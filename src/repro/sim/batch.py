@@ -12,17 +12,10 @@ than by the model.  This module provides two interchangeable executors:
   call, with the hierarchy walk, fill/evict cascade, and prefetcher
   update inlined into a single loop over local variables.
 
-The batched engine has two scan regimes.  Warm scans (every line hits
-L1D) fold into the scan-replay memo.  Cold streaming scans take the
-**sequential-stream cold fast path**: once a trained prefetcher stream
-covers the upcoming lines, the per-line miss cascade is regular —
-demand miss → L2 prefetch hit → steady-state LRU eviction — so whole
-strides execute in closed form: the ``_Stream`` state advances
-arithmetically instead of via per-line ``observe()`` calls, fills and
-evictions are applied directly to the per-set ``OrderedDict`` state
-(one ``popitem``/insert per affected level and line, dirty-victim
-writebacks included), and integer counters are accumulated per stride
-(see :meth:`BatchExecutor._cold_stride`).
+Sequential scans (``scan_lines``) have one fast path, the scan-replay
+memo: an exact rescan of a range whose previous scan hit L1D on every
+line folds into one bulk hit update.  Every other scan makes one pass
+of the generic walk (see :meth:`BatchExecutor.scan_lines`).
 
 Strided ring walks (``load_ring``: the serve core's point lookups, the
 context-switch kernel walk, operator cold-set probes) take one verified
@@ -32,7 +25,9 @@ is proved before the run starts.  A run applies only its LRU moves,
 fills and evictions and charges its counters once; a probe no proof
 covers goes alone through the generic walk, and once a rotation leaves
 all its lines L1D-resident the rest of the call folds into one bulk
-update (see :meth:`BatchExecutor._ring_fast`).  Dependent probe chains
+update (see :meth:`BatchExecutor._ring_fast`).  A ring the verified
+walk declines (no L2/L3, a ring overlapping the TCM window, a zero
+step) makes one pass of the generic walk.  Dependent probe chains
 (``load_chain``: B-tree, SSTable and bloom descents) take the generic
 walk in one call (see :meth:`BatchExecutor.load_chain`).
 
@@ -49,8 +44,8 @@ cycle count, so even the floating-point results are identical.
 
 Executors are swapped via ``Machine.set_exec_mode("reference" |
 "batched")``; the run-level entry points (``load_run``, ``load_list``,
-``load_chain``, ``store_repeat``) share one signature across both so
-callers never branch on the mode.
+``load_ring``, ``load_chain``, ``store_repeat``) share one signature
+across both so callers never branch on the mode.
 """
 
 from __future__ import annotations
@@ -73,12 +68,6 @@ from repro.sim.hierarchy import (
 )
 
 EXEC_MODES = ("reference", "batched")
-
-#: Lines handed to the generic walk between cold-stride retries while a
-#: scan has not (yet) converged to the steady trained-stream shape.  Big
-#: enough that the training prefix of a cold scan costs at most two
-#: retries, small enough that the fast path engages quickly.
-_STRIDE_RETRY_CHUNK = 64
 
 #: Per-level and prefetcher statistics a ``load_list`` round delta
 #: carries (see :meth:`BatchExecutor._list_round`).
@@ -144,18 +133,18 @@ class ReferenceExecutor:
             load(addr, dependent)
 
     def load_ring(self, base: int, cursor: int, stride: int, count: int,
-                  n_lines: int, dependent: bool = False) -> int:
-        """``count`` strided loads over a ring of ``n_lines`` cache lines.
+                  n_lines: int) -> int:
+        """``count`` independent strided loads over a ring of
+        ``n_lines`` cache lines.
 
         Each load first advances ``cursor`` by ``stride`` modulo
         ``n_lines``, then touches ``base + cursor * LINE_SIZE``; the
         final cursor is returned so callers can persist the walk
-        position across calls.  ``dependent`` applies to every load
-        (the load_list convention)."""
+        position across calls."""
         load = self.cpu.load
         for _ in range(count):
             cursor = (cursor + stride) % n_lines
-            load(base + cursor * LINE_SIZE, dependent)
+            load(base + cursor * LINE_SIZE)
         return cursor
 
     def load_chain(self, addrs: Sequence[int], pre: Sequence[str] = (),
@@ -198,6 +187,10 @@ class BatchExecutor:
         #: ``(base, n_lines, mut_epoch)`` of the last ``scan_lines`` call
         #: that hit L1D on every line, or None.  See :meth:`scan_lines`.
         self._scan_memo = None
+        #: Scan regime counters, host-side only like ``list_*``:
+        #: ``scan_lines`` calls the memo replayed, and calls walked.
+        self.scan_replays = 0
+        self.scan_walks = 0
         #: Memoised ring visit cycles, keyed by
         #: ``(base, n_lines, stride, cursor_class)`` — pure modular
         #: arithmetic over an immutable ring geometry, so entries never
@@ -219,7 +212,8 @@ class BatchExecutor:
         #: Ring-walk regime counters (see :meth:`_ring_walk`), also
         #: host-side only: probes served by a verified run, by level;
         #: probes folded into bulk rotations; probes handed to the
-        #: generic walk; and the proofs that failed, by reason.
+        #: generic walk, whole declined rings included; and the proofs
+        #: that failed, by reason.
         self.ring_verified_loads = {"l1": 0, "l2": 0, "l3": 0, "mem": 0}
         self.ring_folded_loads = 0
         self.ring_generic_loads = 0
@@ -272,9 +266,12 @@ class BatchExecutor:
             c.n_l1d += n
             c.l1d_hits += n
             c.cycles += n * cpu.timing.load_issue
+            self.scan_replays += 1
             return
         hier.mut_epoch += 1
-        impure = self._scan_walk(base_addr, n_lines)
+        self.scan_walks += 1
+        impure = self._load_addrs(
+            range(base_addr, base_addr + n_lines * LINE_SIZE, LINE_SIZE))
         self._scan_memo = (
             (base_addr, n_lines, hier.mut_epoch) if impure == 0 else None
         )
@@ -789,104 +786,32 @@ class BatchExecutor:
         cpu.store(addr)
 
     def load_ring(self, base: int, cursor: int, stride: int, count: int,
-                  n_lines: int, dependent: bool = False) -> int:
-        cpu = self.cpu
-        hier = cpu.hierarchy
+                  n_lines: int) -> int:
         if count <= 0:
             return cursor
-        tcm = hier.tcm_region
-        if (tcm is not None and base < tcm.end
-                and base + n_lines * LINE_SIZE > tcm.base):
-            # Ring overlaps the TCM window: materialise the address walk
-            # and reuse load_list's exact TCM handling.
-            addrs = []
-            for _ in range(count):
-                cursor = (cursor + stride) % n_lines
-                addrs.append(base + cursor * LINE_SIZE)
-            self.load_list(addrs, dependent)
-            return cursor
+        hier = self.cpu.hierarchy
         hier.mut_epoch += 1
-        l1 = hier.l1d
-        s1 = l1._sets
-        m1 = l1._set_mask
-        c = cpu.counters
-        if dependent:
-            lat_l1 = cpu._latency[LEVEL_L1D]
-            hit_cycles = lat_l1
-            hit_stall = lat_l1 - 1.0
-        else:
-            hit_cycles = cpu.timing.load_issue
-            hit_stall = 0.0
-        # The walk revisits the same line after `period` steps, where
-        # `period = n_lines / gcd(stride, n_lines)`; the cursor values
-        # within one rotation are pairwise distinct, so so are the lines
-        # they touch.  Process the walk one rotation at a time with the
-        # optimistic L1D-hit pass from load_list: hits are applied
-        # inline (move_to_end + bulk-priced), the first miss hands the
-        # rest of the rotation to the generic walk.
         step = stride % n_lines
-        period = n_lines // gcd(step, n_lines) if step else 1
-        if (not dependent and step
-                and hier.l2 is not None and hier.l3 is not None):
+        tcm = hier.tcm_region
+        if (step and hier.l2 is not None and hier.l3 is not None
+                and (tcm is None or base >= tcm.end
+                     or base + n_lines * LINE_SIZE <= tcm.base)):
             return self._ring_fast(base, cursor, stride, count, n_lines,
-                                   period)
-        done = 0
-        while done < count:
-            chunk = min(period, count - done)
-            hits = 0
-            rest = None
-            for _ in range(chunk):
-                cursor = (cursor + stride) % n_lines
-                a = base + cursor * LINE_SIZE
-                if rest is not None:
-                    rest.append(a)
-                    continue
-                line = a >> LINE_SHIFT
-                set1 = s1[line & m1]
-                if line in set1:
-                    set1.move_to_end(line)
-                    hits += 1
-                else:
-                    rest = [a]
-            if hits:
-                l1.hits += hits
-                c.n_l1d += hits
-                c.l1d_hits += hits
-                c.n_load_inst += hits
-                c.cycles += hits * hit_cycles
-                if hit_stall:
-                    c.stall_cycles += hits * hit_stall
-            if rest is not None:
-                self._load_addrs(rest, dependent)
-            done += chunk
-            if rest is None and chunk == period:
-                # A full rotation just hit L1D on every one of its
-                # `period` distinct lines.  Replaying it touches exactly
-                # those lines in the same order: every access hits
-                # (hits never insert or evict), and per L1D set the
-                # rotation's lines are re-appended behind the others in
-                # the same relative order they already hold — a no-op on
-                # cache state.  All remaining full rotations therefore
-                # fold into one bulk hit update (hit cycles are dyadic,
-                # so the bulk add is bit-identical to per-op adds), and
-                # the cursor is unchanged: `period * stride` is a
-                # multiple of `n_lines`.
-                folds = (count - done) // period
-                if folds:
-                    n = folds * period
-                    l1.hits += n
-                    c.n_l1d += n
-                    c.l1d_hits += n
-                    c.n_load_inst += n
-                    c.cycles += n * hit_cycles
-                    if hit_stall:
-                        c.stall_cycles += n * hit_stall
-                    done += n
+                                   n_lines // gcd(step, n_lines))
+        # No L2/L3 to prove a run against, a ring overlapping the TCM
+        # window, or a zero step: one generic walk over the probes.
+        addrs = []
+        for _ in range(count):
+            cursor = (cursor + stride) % n_lines
+            addrs.append(base + cursor * LINE_SIZE)
+        self.ring_generic_loads += count
+        self._load_addrs(addrs)
         return cursor
 
     def _ring_fast(self, base: int, cursor: int, stride: int, count: int,
                    n_lines: int, period: int) -> int:
-        """:meth:`load_ring` for independent probes on a full hierarchy.
+        """:meth:`load_ring` for a nonzero step on a full hierarchy,
+        with the ring outside the TCM window.
 
         The ring's visit order is pure modular arithmetic over an
         immutable geometry: from any cursor the walk traverses the
@@ -1208,412 +1133,6 @@ class BatchExecutor:
             c.cycles += bulk * cpu.timing.store_issue
 
     # ------------------------------------------------------------ workhorses
-
-    def _scan_walk(self, base_addr: int, n_lines: int) -> int:
-        """Walk ``n_lines`` sequential lines, engaging the cold-stream
-        fast path (:meth:`_cold_stride`) wherever a trained prefetcher
-        stream makes the per-line miss cascade regular; everything else
-        takes the generic inlined walk.  Returns the impure-access
-        count (the scan-replay-memo contract of :meth:`_load_addrs`).
-        """
-        hier = self.cpu.hierarchy
-        pf = hier.prefetcher
-        tcm = hier.tcm_region
-        if (not pf.enabled or hier.l2 is None or hier.l3 is None
-                or pf.degree < 1 or pf.l3_extra < 1
-                or (tcm is not None
-                    and base_addr < tcm.end
-                    and base_addr + n_lines * LINE_SIZE > tcm.base)):
-            # The closed-form cascade can never apply here (no trained
-            # windows, no L2/L3 to stage into, or TCM addresses inside
-            # the range): single generic walk, the pre-fast-path shape.
-            return self._load_addrs(
-                range(base_addr, base_addr + n_lines * LINE_SIZE, LINE_SIZE)
-            )
-        line0 = base_addr >> LINE_SHIFT
-        impure = 0
-        done = 0
-        stalled_attempts = 0
-        while done < n_lines:
-            n = self._cold_stride(line0 + done, n_lines - done)
-            if n:
-                stalled_attempts = 0
-                impure += n
-                done += n
-                continue
-            stalled_attempts += 1
-            if stalled_attempts >= 3:
-                # Not converging to the fast-path shape (warm data, a
-                # stream trained elsewhere, heavy interference): finish
-                # generically in one call.
-                chunk = n_lines - done
-            else:
-                chunk = min(_STRIDE_RETRY_CHUNK, n_lines - done)
-            a = base_addr + done * LINE_SIZE
-            impure += self._load_addrs(
-                range(a, a + chunk * LINE_SIZE, LINE_SIZE)
-            )
-            done += chunk
-        return impure
-
-    def _cold_stride(self, line: int, max_lines: int) -> int:
-        """Execute demand lines ``[line, line + k)`` of a sequential
-        scan in closed form for the largest safe ``k <= max_lines``;
-        returns ``k`` (0 when the fast path does not apply at ``line``).
-
-        Entry preconditions, checked with arithmetic only: the first
-        prefetcher tracker that would match ``line`` is trained and
-        positioned exactly at ``line - 1`` with both window watermarks
-        in the steady-state shape, so each ``observe`` emits exactly
-        one L2-window line (``line + degree``) and one L3-window line
-        (``line + degree + l3_extra``).  The stride is clipped before
-        any line where an earlier tracker would fire instead (capture
-        or same-line neutrality), since trackers are matched in table
-        order.
-
-        Checked per line, before any mutation: the demand line misses
-        L1D and hits L2 — the regular cold cascade (demand miss → L2
-        prefetch hit → steady-state LRU eviction).  The prefetch fills
-        handle every membership and dirty-victim combination inline in
-        exact reference order, so irregularity there does not abort
-        the stride.  Integer counters and the ``_Stream`` state are
-        bulk-advanced on exit; cycle/stall additions run per line in
-        the exact reference sequence, so the result is bit-identical
-        for arbitrary float timing parameters.
-        """
-        cpu = self.cpu
-        hier = cpu.hierarchy
-        pf = hier.prefetcher
-        degree = pf.degree
-        dist3 = degree + pf.l3_extra
-        # ---- locate the tracker observe() would use for this line.
-        match = -1
-        end = line + max_lines
-        for i, ll in enumerate(pf._last):
-            if ll == line - 1:
-                match = i
-                break
-            if ll == line:
-                return 0        # observe() would take the neutral path
-            if ll >= line:
-                # This earlier tracker fires first once demand reaches
-                # ll: clip the stride just before that.
-                end = min(end, ll)
-        if (match < 0 or pf._run[match] < pf.train_threshold
-                or pf._l2up[match] != line - 1 + degree
-                or pf._l3up[match] != line - 1 + dist3
-                or end <= line):
-            return 0
-        c = cpu.counters
-        l1 = hier.l1d
-        l2 = hier.l2
-        l3 = hier.l3
-        s1 = l1._sets
-        m1 = l1._set_mask
-        a1 = l1.assoc
-        s2 = l2._sets
-        m2 = l2._set_mask
-        a2 = l2.assoc
-        s3 = l3._sets
-        m3 = l3._set_mask
-        a3 = l3.assoc
-        fill_l2 = hier._fill_l2
-        fill_l3 = hier._fill_l3
-        timing = cpu.timing
-        issue = timing.load_issue
-        exp_l2 = cpu._latency[LEVEL_L2] / timing.mlp - issue
-        pos_exp = exp_l2 > 0.0
-        cyc = c.cycles
-        stall = c.stall_cycles
-        ev1 = dev1 = occ1 = 0
-        f2 = ev2 = dev2 = occ2 = 0
-        f3 = ev3 = dev3 = occ3 = 0
-        n_pf_l2 = n_pf_l3 = n_wb = 0
-        # Steady-state specialisation: when every set of every level is
-        # at capacity (an O(1) check via the incremental occupancy
-        # totals), each fill is known to evict, so the per-line
-        # ``len() >= assoc`` tests and occupancy tallies disappear; and
-        # when the per-line cycle increments are quarter-cycle dyadics
-        # (both presets; see the module docstring) the float adds fold
-        # into one exact bulk multiply after the loop.  Fullness is
-        # preserved by the loop itself: every popitem is paired with an
-        # insert and ``_fill_l2``/``_fill_l3`` never shrink a set.
-        # The bulk multiply is exact only while everything stays on a
-        # 1/16-cycle grid below 2**49 — increments *and* accumulators —
-        # so any addition order gives the same bits.  Otherwise fall
-        # back to the per-line float sequence.
-        full = (l1._occupancy == l1.n_sets * a1
-                and l2._occupancy == l2.n_sets * a2
-                and l3._occupancy == l3.n_sets * a3
-                and issue * 16.0 == int(issue * 16.0)
-                and (not pos_exp or exp_l2 * 16.0 == int(exp_l2 * 16.0))
-                and cyc * 16.0 == int(cyc * 16.0)
-                and stall * 16.0 == int(stall * 16.0)
-                and (cyc + (end - line)
-                     * (issue + (exp_l2 if pos_exp else 0.0)) < 2.0 ** 49))
-        k = 0
-        if full:
-            # Three segments.  A *checked* warmup long enough to evict
-            # every pre-existing L1D line (``n_sets * assoc`` demand
-            # fills, one per set per ``n_sets`` lines) and to witness a
-            # clean steady cascade; then, if the proofs below hold, an
-            # *unchecked* middle segment that drops every membership
-            # test; then (on re-entry) checked again for the junk-laden
-            # tail.  The unchecked segment is sound because each skipped
-            # check is discharged against the actual state at the switch
-            # point:
-            #
-            # * ``ln not in L1D``: the warmup evicted all pre-stride
-            #   lines and in-stride demand lines are strictly below ln;
-            # * ``ln in L2`` would-be check: promotion at ``ln - degree``
-            #   inserted it (the streak condition) and no other fill
-            #   touches its set within ``degree < n_sets(L2)`` lines —
-            #   guarded by move_to_end's KeyError as a hard backstop;
-            # * ``p2 not in L2`` / ``p3 not in L3``: in-stride inserts
-            #   are strictly increasing and the snapshot horizon ``h``
-            #   stops the segment before any resident pre-stride line
-            #   could collide with a future p2/p3;
-            # * ``p2 in L3``: its p3-fill ran ``l3_extra`` lines earlier
-            #   (fresh, per the streak condition) and no fill touches
-            #   its set within ``l3_extra < n_sets(L3)`` lines;
-            # * L1/L2 victims are clean: L1 victims are in-stride demand
-            #   lines, L2 victims are in-stride promotions or pre-stride
-            #   lines from a snapshot with zero dirty entries, and no
-            #   dirty-victim cascade ran in this stride (dev1 == dev2 ==
-            #   0), so only the L3 victim needs its dirty bit read.
-            warm = l1.n_sets * a1
-            if warm < pf.l3_extra:
-                warm = pf.l3_extra
-            switch_at = 0
-            if (degree < l2.n_sets and dist3 - degree < l3.n_sets
-                    and end - line >= warm + 512):
-                switch_at = line + warm
-            streak = 0
-            pos = line
-            seg_end = switch_at if switch_at else end
-            aborted = False
-            while True:
-                for ln in range(pos, seg_end):
-                    set1 = s1[ln & m1]
-                    if ln in set1:
-                        aborted = True   # warm line: not a cold miss
-                        break
-                    set2 = s2[ln & m2]
-                    try:
-                        # Demand: L1D miss serviced by an L2 hit
-                        # (reference order: L1 lookup-miss, L2
-                        # lookup-hit, fill L1, observe + fills).
-                        set2.move_to_end(ln)
-                    except KeyError:
-                        aborted = True   # deeper miss: irregular cascade
-                        break
-                    v, vd = set1.popitem(False)
-                    if vd:
-                        dev1 += 1
-                        n_wb += 1
-                        fill_l2(v, True)
-                    set1[ln] = False
-                    # Closed-form observe: one L2-window line ...
-                    p2 = ln + degree
-                    pset2 = s2[p2 & m2]
-                    if p2 not in pset2:
-                        if p2 in s3[p2 & m3]:
-                            f2 += 1
-                            v, vd = pset2.popitem(False)
-                            if vd:
-                                dev2 += 1
-                                n_wb += 1
-                                fill_l3(v, True)
-                            pset2[p2] = False
-                            st = 1
-                        else:
-                            n_pf_l3 += 1
-                            pset3 = s3[p2 & m3]
-                            v, vd = pset3.popitem(False)
-                            if vd:
-                                dev3 += 1
-                                n_wb += 1
-                            pset3[p2] = False
-                            st = 0
-                    else:
-                        st = 0
-                    # ... and one L3-window line.
-                    p3 = ln + dist3
-                    pset3 = s3[p3 & m3]
-                    if p3 not in pset3:
-                        n_pf_l3 += 1
-                        v, vd = pset3.popitem(False)
-                        if vd:
-                            dev3 += 1
-                            n_wb += 1
-                        pset3[p3] = False
-                        if st:
-                            streak += 1
-                        else:
-                            streak = 0
-                    else:
-                        streak = 0
-                    k += 1
-                if aborted or seg_end >= end:
-                    break
-                # At the switch point: discharge the proof obligations,
-                # bound the junk horizon, and run unchecked to it.  Any
-                # failed obligation falls back to the checked loop for
-                # the rest of the stride (seg_end is already extended).
-                pos = seg_end
-                seg_end = end
-                if dev1 or dev2 or streak < pf.l3_extra:
-                    continue
-                h = end
-                dirty2 = False
-                b2 = pos + degree
-                for cset in s2:
-                    for j, d in cset.items():
-                        if d:
-                            dirty2 = True
-                        if j >= b2 and j - degree < h:
-                            h = j - degree
-                if dirty2:
-                    continue
-                b3 = pos + dist3
-                for cset in s3:
-                    for j in cset:
-                        if j >= b3 and j - dist3 < h:
-                            h = j - dist3
-                if h <= pos:
-                    continue
-                ku = 0
-                try:
-                    for ln in range(pos, h):
-                        s2[ln & m2].move_to_end(ln)
-                        set1 = s1[ln & m1]
-                        set1.popitem(False)
-                        set1[ln] = False
-                        p2 = ln + degree
-                        pset2 = s2[p2 & m2]
-                        pset2.popitem(False)
-                        pset2[p2] = False
-                        p3 = ln + dist3
-                        pset3 = s3[p3 & m3]
-                        if pset3.popitem(False)[1]:
-                            dev3 += 1
-                            n_wb += 1
-                        pset3[p3] = False
-                        ku += 1
-                except KeyError:
-                    pass        # backstop; the proofs make this dead
-                f2 += ku
-                n_pf_l3 += ku
-                k += ku
-                break
-            if k == 0:
-                return 0
-            # Every fill evicted; the float adds are exact dyadics, so
-            # the bulk multiply equals the per-line reference sequence
-            # bit for bit.
-            n_pf_l2 = f2
-            ev1 = k
-            ev2 = f2
-            f3 = n_pf_l3
-            ev3 = n_pf_l3
-            cyc += k * issue
-            if pos_exp:
-                cyc += k * exp_l2
-                stall += k * exp_l2
-        else:
-            for ln in range(line, end):
-                set1 = s1[ln & m1]
-                if ln in set1:
-                    break       # warm line: not a cold miss
-                set2 = s2[ln & m2]
-                if ln not in set2:
-                    break       # deeper miss: irregular cascade
-                set2.move_to_end(ln)
-                if len(set1) >= a1:
-                    v, vd = set1.popitem(False)
-                    ev1 += 1
-                    if vd:
-                        dev1 += 1
-                        n_wb += 1
-                        fill_l2(v, True)
-                else:
-                    occ1 += 1
-                set1[ln] = False
-                p2 = ln + degree
-                pset2 = s2[p2 & m2]
-                if p2 not in pset2:
-                    if p2 in s3[p2 & m3]:
-                        n_pf_l2 += 1
-                        f2 += 1
-                        if len(pset2) >= a2:
-                            v, vd = pset2.popitem(False)
-                            ev2 += 1
-                            if vd:
-                                dev2 += 1
-                                n_wb += 1
-                                fill_l3(v, True)
-                        else:
-                            occ2 += 1
-                        pset2[p2] = False
-                    else:
-                        n_pf_l3 += 1
-                        pset3 = s3[p2 & m3]
-                        f3 += 1
-                        if len(pset3) >= a3:
-                            v, vd = pset3.popitem(False)
-                            ev3 += 1
-                            if vd:
-                                dev3 += 1
-                                n_wb += 1
-                        else:
-                            occ3 += 1
-                        pset3[p2] = False
-                p3 = ln + dist3
-                pset3 = s3[p3 & m3]
-                if p3 not in pset3:
-                    n_pf_l3 += 1
-                    f3 += 1
-                    if len(pset3) >= a3:
-                        v, vd = pset3.popitem(False)
-                        ev3 += 1
-                        if vd:
-                            dev3 += 1
-                            n_wb += 1
-                    else:
-                        occ3 += 1
-                    pset3[p3] = False
-                # Timing, in the exact reference sequence.
-                cyc += issue
-                if pos_exp:
-                    cyc += exp_l2
-                    stall += exp_l2
-                k += 1
-            if k == 0:
-                return 0
-        c.cycles = cyc
-        c.stall_cycles = stall
-        c.n_load_inst += k
-        c.n_l1d += k
-        c.n_l2 += k
-        c.l2_hits += k
-        c.n_pf_l2 += n_pf_l2
-        c.n_pf_l3 += n_pf_l3
-        c.n_writeback += n_wb
-        l1.bulk_account(misses=k, fills=k, evictions=ev1,
-                        dirty_evictions=dev1, occupancy=occ1)
-        l2.bulk_account(hits=k, fills=f2, evictions=ev2,
-                        dirty_evictions=dev2, occupancy=occ2)
-        l3.bulk_account(fills=f3, evictions=ev3,
-                        dirty_evictions=dev3, occupancy=occ3)
-        # Bulk-advance the stream exactly as k observe() calls would.
-        last = line + k - 1
-        pf._last[match] = last
-        pf._run[match] += k
-        pf._l2up[match] = last + degree
-        pf._l3up[match] = last + dist3
-        pf.n_pf_l2_issued += k
-        pf.n_pf_l3_issued += k
-        return k
 
     def _reprice(self) -> tuple:
         """Recompute :attr:`_prices` after a P-state change: a copy of

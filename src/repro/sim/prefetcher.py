@@ -23,9 +23,7 @@ enough that the line falls inside the L2 window.  The hierarchy turns
 that second issue into an L3→L2 promotion, which is exactly the paper's
 countable "prefetch into L2" kind.  In steady state every demand miss
 therefore issues one L2 line (at distance ``degree``) and one L3 line
-(at distance ``degree + l3_extra``) — the regular cascade the batched
-executor's cold-scan fast path replays in closed form (see
-:meth:`repro.sim.batch.BatchExecutor.scan_lines`).
+(at distance ``degree + l3_extra``).
 
 The prefetcher watches *demand-load* misses only.  Store (RFO) misses
 never reach :meth:`observe` — the paper counts only the two L2-prefetch
@@ -50,8 +48,7 @@ class _Stream:
     The authoritative tracker state lives in the prefetcher's parallel
     integer lists (so :meth:`StreamPrefetcher.observe` can scan them at
     C speed with ``list.index``); this view keeps the historical
-    per-stream attribute API for tests, metrics, and the batched
-    executor's cold-stream fast path.
+    per-stream attribute API for tests and metrics.
     """
 
     __slots__ = ("_pf", "_i")

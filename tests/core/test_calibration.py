@@ -94,3 +94,15 @@ class TestExecModes:
         assert walks["B_L3"] <= 3
         assert walks["B_mem"] <= 2
         assert ex.list_verify_failed == {}
+
+    def test_scan_memo_serves_the_array_benchmark(self):
+        """B_L1D_array rescans one L1D-resident array: all but the
+        first scans of a run replay the memo.  The memo is the only
+        scan fast path, so it must not disengage silently."""
+        machine = Machine(tiny_intel(), seed=7)
+        background = measure_background(machine)
+        ex = machine.exec
+        run_prepared(machine, prepare("B_L1D_array", machine), background)
+        calls = ex.scan_replays + ex.scan_walks
+        assert calls > 100
+        assert ex.scan_replays >= 0.99 * calls

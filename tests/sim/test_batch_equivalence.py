@@ -78,8 +78,7 @@ def _random_program(rng: random.Random, tcm_base, tcm_size) -> list:
                 n_lines = 16 if region == "small" else rng.randrange(8, 512)
                 ops.append(("load_ring", region, rng.randrange(n_lines),
                             rng.randrange(0, 2 * n_lines),
-                            rng.randrange(1, 200), n_lines,
-                            rng.random() < 0.5))
+                            rng.randrange(1, 200), n_lines))
         elif kind == 10:
             ops.append(("hot", rng.randrange(256), rng.randrange(1, 50)))
         elif kind == 11:
@@ -127,8 +126,8 @@ def _execute(preset: str, mode: str, program: list, eist: bool):
         elif kind == "store_repeat":
             ex.store_repeat(base[op[1]] + op[2], op[3])
         elif kind == "load_ring":
-            _, region, cursor, stride, count, n_lines, dep = op
-            ex.load_ring(base[region], cursor, stride, count, n_lines, dep)
+            _, region, cursor, stride, count, n_lines = op
+            ex.load_ring(base[region], cursor, stride, count, n_lines)
         elif kind == "hot":
             machine.hot_loads(small.base + op[1], op[2])
             machine.hot_stores(small.base + op[1], op[2])
@@ -240,10 +239,11 @@ def _assert_modes_agree(body, config=None):
 
 
 def test_cold_stream_scan_equivalence():
-    """A scan twice the size of L3, run twice: the cold-stream fast
-    path (checked warmup, unchecked middle segment, junk-laden tail on
-    the second pass) must match the reference bit for bit — counters,
-    energy, LRU order, and prefetcher stream state."""
+    """A scan twice the size of L3, run twice: the generic walk behind
+    a trained prefetcher stream (every line an L1D miss served by an L2
+    prefetch, the second pass over lines the first left in L3) must
+    match the reference bit for bit — counters, energy, LRU order, and
+    prefetcher stream state."""
     def body(machine):
         n_lines = machine.hierarchy.l3.size * 2 // 64
         buf = machine.address_space.alloc_lines(n_lines, "cold")
@@ -253,8 +253,8 @@ def test_cold_stream_scan_equivalence():
 
 
 def test_cold_scan_overlapping_tcm_region():
-    """A TCM window inside the scanned range disqualifies the stride
-    fast path; the generic walk must produce identical state."""
+    """A TCM window inside the scanned range: the generic walk serves
+    those lines from TCM mid-scan and must produce identical state."""
     def body(machine):
         n_lines = machine.hierarchy.l3.size // 64
         buf = machine.address_space.alloc_lines(n_lines, "cold")
@@ -267,8 +267,8 @@ def test_cold_scan_overlapping_tcm_region():
 
 def test_cold_scan_through_dirty_cache_state():
     """Store-dirtied lines ahead of a cold scan force dirty-victim
-    writeback cascades inside the stride (and block the unchecked
-    segment's clean-victim proof); every cascade must match."""
+    writeback cascades at every level mid-scan; every cascade must
+    match."""
     def body(machine):
         n_lines = machine.hierarchy.l3.size * 2 // 64
         buf = machine.address_space.alloc_lines(n_lines, "cold")
@@ -283,8 +283,8 @@ def test_cold_scan_through_dirty_cache_state():
 
 def test_interleaved_streams_clip_the_stride():
     """Two sequential scans advancing in alternating chunks keep two
-    trackers live; stride clipping at foreign-tracker positions must
-    not drift from the reference."""
+    prefetcher trackers live, each chunk resuming its own stream; the
+    tracker matching must not drift from the reference."""
     def body(machine):
         n_lines = machine.hierarchy.l3.size // 64
         a = machine.address_space.alloc_lines(n_lines, "a")
@@ -297,9 +297,9 @@ def test_interleaved_streams_clip_the_stride():
 
 
 def test_flush_mid_run_invalidates_fast_path_state():
-    """satellite: a mid-run MemoryHierarchy.flush() bumps mut_epoch;
-    both the scan-replay memo and the stride fast path must start cold
-    again instead of replaying stale state."""
+    """A mid-run MemoryHierarchy.flush() bumps mut_epoch; the
+    scan-replay memo must start cold again instead of replaying stale
+    state, and the trained stream's scan must match after it."""
     def body(machine):
         l1_lines = machine.hierarchy.l1d.size // 64
         small = machine.address_space.alloc_lines(l1_lines, "small")
@@ -308,7 +308,7 @@ def test_flush_mid_run_invalidates_fast_path_state():
         n_big = machine.hierarchy.l3.size * 2 // 64
         machine.scan_lines(small.base, l1_lines)
         machine.scan_lines(small.base, l1_lines)   # memoised replay
-        machine.scan_lines(big.base, n_big)        # trained fast path
+        machine.scan_lines(big.base, n_big)        # trains a stream
         machine.hierarchy.flush()                  # cold start mid-run
         misses_before = machine.hierarchy.l1d.misses
         machine.scan_lines(small.base, l1_lines)   # must miss again
@@ -375,12 +375,15 @@ def test_load_ring_interrupted_by_evictions():
     _assert_modes_agree(body)
 
 
-def test_load_ring_dependent_and_tcm_overlap():
-    """Dependent pricing applies to every ring load; a ring overlapping
-    the TCM window must take the exact per-address fallback."""
+def test_load_ring_tcm_overlap():
+    """A ring overlapping the TCM window must take the exact generic
+    walk, TCM probes included, and count its probes as generic."""
+    generic = {}
+
     def body(machine):
         ring = machine.address_space.alloc_lines(32, "ring")
-        machine.exec.load_ring(ring.base, 0, 7, 100, 32, dependent=True)
+        machine.exec.load_ring(ring.base, 0, 7, 100, 32)
+        before = getattr(machine.exec, "ring_generic_loads", 0)
         tcm = machine.hierarchy.tcm_region
         if tcm is None:
             machine.hierarchy.tcm_region = Region(
@@ -389,8 +392,11 @@ def test_load_ring_dependent_and_tcm_overlap():
             machine.hierarchy.tcm_region = Region(
                 base=ring.base + 8 * 64, size=4 * 64, label=tcm.label)
         machine.exec.load_ring(ring.base, 0, 7, 100, 32)
-        machine.exec.load_ring(ring.base, 3, 5, 64, 32, dependent=True)
+        machine.exec.load_ring(ring.base, 3, 5, 64, 32)
+        generic[machine.exec.mode] = (
+            getattr(machine.exec, "ring_generic_loads", 0) - before)
     _assert_modes_agree(body)
+    assert generic["batched"] == 164
 
 
 def test_load_ring_dram_rotation_over_ring_larger_than_l3():
@@ -494,6 +500,22 @@ def test_load_ring_off_grid_dram_latency_never_folds():
     assert ex.ring_verify_failed == {"inexact": 150}
 
 
+def test_load_ring_off_grid_dram_latency_on_arm():
+    """``tiny_arm`` has no L2 or L3, so every ring takes the generic
+    walk.  A DRAM latency off the 2**-8 grid makes the first rotation's
+    cycle sum inexact; the 399 all-hit rotations after it must still
+    add their issue cycles one at a time, never as one bulk fold."""
+    base = tiny_arm()
+    config = dataclasses.replace(
+        base, timing=dataclasses.replace(base.timing, dram_lat_ns=33.3))
+
+    def body(machine):
+        ring = machine.address_space.alloc_lines(24, "ring")
+        machine.exec.load_ring(ring.base, 0, 7, 24 * 400, 24)
+    ex = _assert_modes_agree(body, config)
+    assert ex.ring_generic_loads == 24 * 400
+
+
 def test_ring_regimes_on_points_steady_state():
     """The serve ``points`` shape: per request, a 32-probe kernel walk
     over a cold set that fits L2, then rotations of a 24-line ring, with
@@ -543,7 +565,7 @@ _RING_REGIONS = (24, 100, 600, 9000)
 _RING_PROGRAMS = st.lists(st.one_of(
     st.tuples(st.just("ring"), st.integers(0, 3), st.integers(0, 9999),
               st.integers(0, 9999), st.integers(0, 20000),
-              st.integers(1, 400), st.sampled_from((False, False, True))),
+              st.integers(1, 400)),
     st.tuples(st.just("stores"), st.integers(0, 3), st.integers(0, 8999),
               st.integers(1, 99), st.integers(1, 64)),
     st.tuples(st.just("flush")),
@@ -557,7 +579,7 @@ _RING_PROGRAMS = st.lists(st.one_of(
 @given(_RING_PROGRAMS)
 def test_generated_ring_programs(program):
     """Random ``load_ring`` geometries (ring size, cursor, stride,
-    count, dependence) interleaved with strided store runs (dirty,
+    count) interleaved with strided store runs (dirty,
     L1D-resident lines the prefetcher never saw), flushes, prefetcher
     toggles, train thresholds and P-state switches, against the
     reference executor."""
@@ -567,11 +589,11 @@ def test_generated_ring_programs(program):
         for op in program:
             kind = op[0]
             if kind == "ring":
-                _, r, n, cursor, stride, count, dependent = op
+                _, r, n, cursor, stride, count = op
                 n_lines = 1 + n % _RING_REGIONS[r]
                 machine.exec.load_ring(regions[r].base, cursor % n_lines,
                                        stride % (2 * n_lines + 2), count,
-                                       n_lines, dependent)
+                                       n_lines)
             elif kind == "stores":
                 _, r, start, step, n = op
                 for i in range(n):

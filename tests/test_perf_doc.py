@@ -59,3 +59,37 @@ def test_serve_scale_run(doc, bench):
 def test_serve_tpch_speedup(doc, bench):
     quoted = _find(r"committed\s+baseline: ([\d.]+)×", doc)
     assert float(quoted.group(1)) == bench["serve"]["tpch"]["speedup"]
+
+
+def _agrees(quoted: str, value: float) -> bool:
+    """A quoted figure matches ``value`` at the decimals it shows."""
+    return float(quoted) == round(value, len(quoted.partition(".")[2]))
+
+
+_RANGE = r"([\d.]+)(?:–([\d.]+))?"
+
+#: §4 scan-path table rows -> the bench entries each row quotes; a row
+#: over several entries quotes each figure as a ``low–high`` range.
+_SCAN_ROWS = {
+    "warm L1-resident rescan":
+        lambda b: [b["scan_path"]["fig07_tpch_scan"]],
+    "fig08 tiers":
+        lambda b: list(b["scan_path"]["fig08_datasize_scan"].values()),
+    "cold DRAM-streaming scan":
+        lambda b: [b["scan_path"]["cold_stream_scan"]],
+    "`repro.db` row shape": lambda b: [b["row_load_run"]],
+}
+
+
+@pytest.mark.parametrize("label", _SCAN_ROWS)
+def test_scan_table_row(doc, bench, label):
+    entries = _SCAN_ROWS[label](bench)
+    row = _find(rf"\| {re.escape(label)}[^|]*\| ~?{_RANGE} Mops/s \| "
+                rf"~?{_RANGE} Mops/s[^|]*\| (?:\*\*)?~?{_RANGE}×", doc)
+    for group, key in ((1, "reference_mops"), (3, "batched_mops"),
+                       (5, "speedup")):
+        low = row.group(group)
+        high = row.group(group + 1) or low
+        values = [entry[key] for entry in entries]
+        assert _agrees(low, min(values)), key
+        assert _agrees(high, max(values)), key
