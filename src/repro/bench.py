@@ -3,9 +3,10 @@
 Measures how fast the *simulator itself* runs — micro-ops simulated per
 wall-clock second, wall-seconds per TPC-H query, serve requests per
 second — in both execution modes (``reference`` vs ``batched``), and
-writes the results to ``BENCH_simperf.json`` at the repository root.
-This is the project's recorded performance trajectory and the CI
-regression gate (see ``.github/workflows/ci.yml``, job ``bench-smoke``).
+how many bytes a serve run holds per request, and writes the results
+to ``BENCH_simperf.json`` at the repository root.  This is the
+project's recorded performance trajectory and the CI regression gate
+(see ``.github/workflows/ci.yml``, job ``bench-smoke``).
 
 The headline metrics are the *scan paths*: ``scan_lines``, the
 sequential line scan of the array micro-benchmarks.
@@ -44,6 +45,8 @@ from repro.sim.machine import Machine
 #: identity gates).  v6 extended ``serve.tpch`` with the cross-mode and
 #: run_rows-vs-next report-identity flags and gated the section (ratio
 #: vs baseline plus the absolute :data:`SERVE_TPCH_MIN_SPEEDUP` floor).
+#: The ``serve_memory`` section (bytes per request) is additive and
+#: optional on both sides of the gate, so it kept the v6 stamp.
 SCHEMA_VERSION = 6
 
 #: Absolute floor for the ``serve.tpch`` batched/reference speedup: the
@@ -315,6 +318,64 @@ def _serve_scale(quick: bool) -> dict:
     }
 
 
+def _traced_serve_bytes(queries: int, clients: int) -> tuple[int, int]:
+    """Traced bytes a ``points`` run of the ``serve_scale`` shape holds
+    above its start when :meth:`QueryServer.run` returns (live objects
+    only), and at the peak of :func:`run_serve` (report included)."""
+    import gc
+    import tracemalloc
+
+    from repro.serve import ServeConfig, run_serve
+    from repro.serve.loop import QueryServer
+
+    config = ServeConfig(
+        workload="points", mode="closed", queries=queries,
+        clients=clients, tenants=max(1, clients // 2), cores=8, mpl=4,
+        max_queue=clients + 112, telemetry="sampler", seed=7,
+    )
+    run = QueryServer.run
+    retained = []
+
+    def traced_run(server):
+        ledger = run(server)
+        gc.collect()
+        retained.append(tracemalloc.get_traced_memory()[0])
+        return ledger
+
+    gc.collect()
+    tracemalloc.start()
+    QueryServer.run = traced_run
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_serve(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        QueryServer.run = run
+        tracemalloc.stop()
+    return retained[0] - start, peak - start
+
+
+def serve_memory(small: int = 2000, large: int = 8000,
+                 clients: int = 40) -> dict:
+    """Bytes per request a serve run holds: the tracemalloc growth from
+    a ``small``- to a ``large``-request run of one shape, so the
+    per-client and per-tenant base (rings, memos, tenant tables)
+    cancels.  ``retained`` is counted when the event loop returns,
+    ``peak`` over the whole run with report assembly.  Traced bytes
+    count Python allocations, not the host's RSS, so the figures track
+    the code, not the machine."""
+    retained_small, peak_small = _traced_serve_bytes(small, clients)
+    retained_large, peak_large = _traced_serve_bytes(large, clients)
+    grown = large - small
+    return {
+        "queries": [small, large],
+        "clients": clients,
+        "retained_b_per_request": round(
+            (retained_large - retained_small) / grown, 1),
+        "peak_b_per_request": round((peak_large - peak_small) / grown, 1),
+    }
+
+
 #: Cluster bench cells: node counts x injected fault rates.  The
 #: metrics are *simulated* joules and seconds — deterministic and
 #: host-independent — so quick and full runs produce identical cells
@@ -454,6 +515,7 @@ def run_bench(quick: bool = False) -> dict:
                 lambda: _points_engine_rps(200 if quick else 2000)),
         },
         "serve_scale": timed("serve_scale", lambda: _serve_scale(quick)),
+        "serve_memory": timed("serve_memory", serve_memory),
         "cluster": timed("cluster", lambda: _cluster_section(quick)),
         "optimizer": timed("optimizer", lambda: _optimizer_section(quick)),
     }
@@ -466,8 +528,8 @@ def check_regression(current: dict, baseline: dict,
     """Compare batched ops/sec against a baseline report.
 
     Returns a list of human-readable failures (empty = pass).  Only
-    throughput metrics are gated — wall-clock metrics vary too much
-    across machines to gate on.
+    throughput and memory metrics are gated — wall-clock metrics vary
+    too much across machines to gate on.
     """
     failures = []
 
@@ -577,6 +639,25 @@ def check_regression(current: dict, baseline: dict,
             )
     elif baseline.get("serve_scale") is not None and new_scale is None:
         failures.append("serve_scale: section missing from current report")
+    # serve_memory: traced bytes per request track the code, not the
+    # host, so quick and full runs (the same probe) gate against the
+    # baseline directly.  Lower is better.
+    new_memory = current.get("serve_memory")
+    old_memory = baseline.get("serve_memory", {})
+    if new_memory is not None:
+        for metric in ("retained_b_per_request", "peak_b_per_request"):
+            new_value = new_memory.get(metric)
+            old_value = old_memory.get(metric)
+            if new_value is None or not old_value:
+                continue
+            if new_value > old_value * (1.0 + max_regression):
+                failures.append(
+                    f"serve_memory: {metric} {new_value:.1f} B is more "
+                    f"than {max_regression:.0%} above baseline "
+                    f"{old_value:.1f} B"
+                )
+    elif baseline.get("serve_memory") is not None:
+        failures.append("serve_memory: section missing from current report")
     # Cluster: the cell metrics are simulated joules/seconds, which are
     # deterministic — but hosts differ in float-identical ways only for
     # the same code, so gate with the same fractional tolerance as the

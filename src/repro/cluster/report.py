@@ -73,7 +73,9 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
     latencies = [r.latency_s for r in delivered]
 
     outcomes = coordinator.attempt_outcomes
-    split = energy_split(traces, requests, DELIVERED_STATES,
+    split = energy_split(traces,
+                         {r.request_id: r.state for r in requests}.get,
+                         DELIVERED_STATES,
                          lambda _req, attempt: outcomes.get(attempt))
     node_active_sum_j = sum(traces[name].total_active_j
                             for name in sorted(traces))
@@ -105,7 +107,8 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
             "net_bytes_per_s", "net_payload_factor", "subreq_timeout_s",
             "failover_attempts", "failover_backoff_s", "hedge_quantile",
             "hedge_min_samples", "allow_partial", *BREAKER_FIELDS),
-        "counts": state_counts(requests, CLUSTER_STATES),
+        "counts": state_counts([r.state for r in requests],
+                               CLUSTER_STATES),
         "latency_s": latency_summary(latencies),
         "subrequests": {
             "sent": coordinator.subreqs_sent,

@@ -16,7 +16,9 @@ streaming aggregates** instead of keeping spans:
   histograms of per-span time and energy;
 * per **meta tuple** ``(tenant, request, attempt, wasted)`` — the exact
   partition the serve report's tenant attribution and useful/wasted
-  energy split are built on.
+  energy split are built on, kept in the compact columns of
+  :class:`MetaEnergy` (a few dozen bytes per request, not a tuple, a
+  list and four floats).
 
 Aggregation is *exact*: every joule and every counter increment lands in
 exactly one group (the one open when the work happened), so the PR 4
@@ -35,8 +37,10 @@ is what the obs-overhead CI job benchmarks the sampler against.
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import ConfigError, TraceError
 from repro.obs.metrics import Histogram
@@ -54,11 +58,120 @@ META_KEYS = ("tenant", "request", "attempt", "wasted")
 #: Cache levels reported in per-group summaries.
 CACHE_LEVELS = ("L1D", "L2", "L3", "mem")
 
+#: A request id at least this far past the end of the dense columns
+#: takes a sparse row instead of growing them.  Serve runs number
+#: requests in issue order and tag them roughly in that order.
+DENSE_SLACK = 4096
+
+
+def fold_key(meta: tuple) -> tuple:
+    """The order every meta fold adds its rows in: each field by
+    ``str``, None last — the order of ``(v is None, str(v))`` pairs,
+    with one string per field."""
+    return tuple("1" if v is None else "0" + str(v) for v in meta)
+
+
+class MetaEnergy:
+    """``core_j, package_j, dram_j, time_s`` per meta tuple, in compact
+    columns.
+
+    A serve run tags each request's quanta with ``(tenant, request,
+    attempt, wasted)``.  The first meta seen for an int request id
+    ``r`` is *dense* row ``r``: four ``array('d')`` columns indexed by
+    request id, plus a code into a table of ``(tenant, attempt,
+    wasted)`` triples, which grows with tenants and attempts, not with
+    requests.  Every other meta — the untagged system row, a retry's
+    later attempts, a ``wasted`` tag, a request that is not an int — is
+    *sparse* row ``j``, addressed as ``~j`` (a negative row).
+    """
+
+    def __init__(self) -> None:
+        self.combos: list[tuple] = []
+        self._combo_code: dict[tuple, int] = {}
+        #: Dense row -> index into :attr:`combos`; -1 = unused id.
+        self.code = array("i")
+        self.dense = tuple(array("d") for _ in range(4))
+        self.sparse_meta: list[tuple] = []
+        self._sparse_row: dict[tuple, int] = {}
+        self.sparse = tuple(array("d") for _ in range(4))
+
+    def row(self, meta: tuple) -> int:
+        """The row accumulating ``meta``'s totals, created if new."""
+        tenant, request, attempt, wasted = meta
+        code_col = self.code
+        n = len(code_col)
+        if type(request) is int and 0 <= request < n + DENSE_SLACK:
+            combo = (tenant, attempt, wasted)
+            code = self._combo_code.get(combo)
+            if code is None:
+                code = self._combo_code[combo] = len(self.combos)
+                self.combos.append(combo)
+            if request >= n:
+                grow = request + 1 - n
+                code_col.extend(repeat(-1, grow))
+                for column in self.dense:
+                    column.extend(repeat(0.0, grow))
+            held = code_col[request]
+            if held < 0:
+                code_col[request] = code
+                return request
+            if held == code:
+                return request
+        row = self._sparse_row.get(meta)
+        if row is None:
+            row = self._sparse_row[meta] = ~len(self.sparse_meta)
+            self.sparse_meta.append(meta)
+            for column in self.sparse:
+                column.append(0.0)
+        return row
+
+    def add(self, row: int, core_j: float, package_j: float,
+            dram_j: float, time_s: float) -> None:
+        columns = self.dense if row >= 0 else self.sparse
+        i = row if row >= 0 else ~row
+        columns[0][i] += core_j
+        columns[1][i] += package_j
+        columns[2][i] += dram_j
+        columns[3][i] += time_s
+
+    def meta(self, row: int) -> tuple:
+        if row < 0:
+            return self.sparse_meta[~row]
+        tenant, attempt, wasted = self.combos[self.code[row]]
+        return (tenant, row, attempt, wasted)
+
+    def totals(self, row: int) -> tuple:
+        """``(core_j, package_j, dram_j, time_s)`` of one row."""
+        columns = self.dense if row >= 0 else self.sparse
+        i = row if row >= 0 else ~row
+        return (columns[0][i], columns[1][i], columns[2][i],
+                columns[3][i])
+
+    def fold_order(self) -> array:
+        """Every row, sorted by :func:`fold_key` of its meta.  Dense
+        rows share their triple's key strings, so a row's key costs one
+        tuple and one string.  Rows whose keys tie (distinct values
+        with one ``str``, such as ``5`` and ``"5"``, which serve runs
+        never tag) stay dense first, then sparse in creation order."""
+        parts = [fold_key(combo) for combo in self.combos]
+        code_col = self.code
+
+        def key(row: int) -> tuple:
+            if row < 0:
+                return fold_key(self.sparse_meta[~row])
+            tenant, attempt, wasted = parts[code_col[row]]
+            return (tenant, "0" + str(row), attempt, wasted)
+
+        rows = [row for row, code in enumerate(code_col) if code >= 0]
+        rows += range(-1, -len(self.sparse_meta) - 1, -1)
+        rows.sort(key=key)
+        return array("q", rows)
+
 
 class _Frame:
     """One open region: group identity, inherited meta, self totals."""
 
-    __slots__ = ("name", "category", "group", "meta", "first_ts",
+    __slots__ = ("name", "category", "group", "meta", "row", "first_ts",
                  "time_s", "core_j", "package_j", "dram_j", "enters")
 
     def __init__(self, name: str, category: str, group: tuple,
@@ -67,6 +180,8 @@ class _Frame:
         self.category = category
         self.group = group
         self.meta = meta
+        #: This frame's :class:`MetaEnergy` row, bound at first credit.
+        self.row: Optional[int] = None
         self.first_ts: Optional[float] = None
         self.time_s = 0.0
         self.core_j = 0.0
@@ -164,18 +279,18 @@ class TelemetrySummary:
     """
 
     def __init__(self, domain: str, background, groups: dict,
-                 meta_energy: dict, exemplars: list,
+                 meta_energy: MetaEnergy, exemplars: list,
                  exemplar_rate: float, exemplars_offered: int):
         self.domain = domain
         self.background = background
         #: ``{(phase, operator): GroupAggregate}``
         self.groups = groups
-        #: ``{(tenant, request, attempt, wasted):
-        #:    [core_j, package_j, dram_j, time_s]}``
+        #: Energy and time per ``(tenant, request, attempt, wasted)``.
         self.meta_energy = meta_energy
         self.exemplars = exemplars
         self.exemplar_rate = exemplar_rate
         self.exemplars_offered = exemplars_offered
+        self._fold_order: Optional[array] = None
 
     # ------------------------------------------------------------ energy
 
@@ -184,27 +299,34 @@ class TelemetrySummary:
             return 0.0
         return self.background.rate(self.domain)
 
-    def _active(self, entry: list) -> float:
-        core_j, package_j, dram_j, time_s = entry
-        return (domain_energy_j(core_j, package_j, dram_j, self.domain)
-                - self._background_w() * time_s)
+    def _metas(self) -> Iterator[tuple]:
+        """``(meta, active_j)`` per meta row, in :func:`fold_key` order
+        (sorted once per summary), so every fold adds the same operands
+        in the same order."""
+        rows = self.meta_energy
+        if self._fold_order is None:
+            self._fold_order = rows.fold_order()
+        background_w = self._background_w()
+        domain = self.domain
+        for row in self._fold_order:
+            core_j, package_j, dram_j, time_s = rows.totals(row)
+            yield rows.meta(row), (
+                domain_energy_j(core_j, package_j, dram_j, domain)
+                - background_w * time_s)
 
     @property
     def total_active_j(self) -> float:
         """Measured Active energy of the whole window (exact sum of the
         meta-partition — the same partition the split reports)."""
-        return sum(self._active(entry)
-                   for _, entry in sorted(self.meta_energy.items(),
-                                          key=lambda kv: _order(kv[0])))
+        return sum(active for _, active in self._metas())
 
     def active_energy_by_meta(self, key: str) -> dict:
         """Partition Active energy by one inherited meta key."""
         index = META_KEYS.index(key)
         groups: dict = {}
-        for meta, entry in sorted(self.meta_energy.items(),
-                                  key=lambda kv: _order(kv[0])):
+        for meta, active in self._metas():
             owner = meta[index]
-            groups[owner] = groups.get(owner, 0.0) + self._active(entry)
+            groups[owner] = groups.get(owner, 0.0) + active
         return groups
 
     def active_energy_by_metas(self, keys: tuple) -> dict:
@@ -212,23 +334,10 @@ class TelemetrySummary:
         (exactly :meth:`repro.obs.span.Trace.active_energy_by_metas`)."""
         indices = [META_KEYS.index(key) for key in keys]
         groups: dict = {}
-        for meta, entry in sorted(self.meta_energy.items(),
-                                  key=lambda kv: _order(kv[0])):
+        for meta, active in self._metas():
             owner = tuple(meta[i] for i in indices)
-            groups[owner] = groups.get(owner, 0.0) + self._active(entry)
+            groups[owner] = groups.get(owner, 0.0) + active
         return groups
-
-    def request_energy_j(self) -> dict:
-        """Active joules per request id (attempts and tags summed)."""
-        per_request: dict = {}
-        for meta, entry in sorted(self.meta_energy.items(),
-                                  key=lambda kv: _order(kv[0])):
-            request = meta[META_KEYS.index("request")]
-            if request is None:
-                continue
-            per_request[request] = (per_request.get(request, 0.0)
-                                    + self._active(entry))
-        return per_request
 
     # ------------------------------------------------------------ views
 
@@ -271,11 +380,6 @@ class TelemetrySummary:
                 f"{row['time_s']:.3e} s  spans={row['spans']}"
             )
         return "\n".join(lines)
-
-
-def _order(meta: tuple) -> tuple:
-    """Deterministic sort key over heterogeneous meta tuples."""
-    return tuple((v is None, str(v)) for v in meta)
 
 
 def _hist_summary(hist: Histogram) -> dict:
@@ -335,7 +439,7 @@ class SamplingAggregator:
         root = _Frame(name, "trace", ("trace", name), (None,) * len(META_KEYS))
         self._stack: list[_Frame] = [root]
         self.groups: dict[tuple, GroupAggregate] = {}
-        self.meta_energy: dict[tuple, list] = {}
+        self.meta_energy = MetaEnergy()
         self.exemplars: list[Exemplar] = []
         self.exemplars_offered = 0
         self._finished: Optional[TelemetrySummary] = None
@@ -400,13 +504,10 @@ class SamplingAggregator:
         agg.dram_j += d_dram
         agg.counters.accumulate(delta)
 
-        entry = self.meta_energy.get(frame.meta)
-        if entry is None:
-            entry = self.meta_energy[frame.meta] = [0.0, 0.0, 0.0, 0.0]
-        entry[0] += d_core
-        entry[1] += d_package
-        entry[2] += d_dram
-        entry[3] += d_time
+        row = frame.row
+        if row is None:
+            row = frame.row = self.meta_energy.row(frame.meta)
+        self.meta_energy.add(row, d_core, d_package, d_dram, d_time)
 
         timeline = self.timeline
         if timeline is not None and d_time > 0.0:
@@ -616,14 +717,14 @@ class NullTelemetry:
             delta = machine.pmu.counters.minus(self._start_counters)
             domain = select_domain(delta)
             rapl = machine.rapl
-            meta_energy = {
-                (None,) * len(META_KEYS): [
-                    rapl.energy_core() - self._last_core,
-                    rapl.energy_package() - self._last_package,
-                    rapl.energy_dram() - self._last_dram,
-                    machine.time_s - self._last_time,
-                ]
-            }
+            meta_energy = MetaEnergy()
+            meta_energy.add(
+                meta_energy.row((None,) * len(META_KEYS)),
+                rapl.energy_core() - self._last_core,
+                rapl.energy_package() - self._last_package,
+                rapl.energy_dram() - self._last_dram,
+                machine.time_s - self._last_time,
+            )
             self._finished = TelemetrySummary(
                 domain, self.background, {}, meta_energy, [], 0.0, 0,
             )

@@ -70,6 +70,8 @@ class Driver:
         self.n_queries = n_queries
         self.seed = seed
         self.tenants = tenants
+        #: One name string per tenant, shared by all its requests.
+        self._tenant_names = [f"tenant{i}" for i in range(tenants)]
         budgets = split_queries(n_queries, n_clients)
         self.clients = [
             _ClientState(i, mix.jobs_for_client(i), budgets[i])
@@ -77,7 +79,7 @@ class Driver:
         ]
 
     def tenant_of(self, client_index: int) -> str:
-        return f"tenant{client_index % self.tenants}"
+        return self._tenant_names[client_index % self.tenants]
 
     def initial_arrivals(self) -> list[tuple[float, int, JobTemplate]]:
         """``(arrival_s, client_index, job)`` triples known up front."""

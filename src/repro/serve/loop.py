@@ -29,6 +29,10 @@ one :class:`~repro.db.engine.Database` and one
 * When every core is idle and the queue is empty, the gap to the next
   arrival is charged as package idle time — exactly the §2.6 notion of
   background energy the Active-energy subtraction removes.
+* A request is an object only while in flight.  At its terminal state
+  it retires into the :class:`~repro.serve.request.RequestLedger`'s
+  columns and is dropped with its work iterator, so memory grows by a
+  few bytes per request, not by the request.
 
 Every quantum runs inside a tracer span tagged with the request's
 tenant, so a :class:`~repro.obs.tracer.Tracer` installed over the run
@@ -62,6 +66,7 @@ from repro.serve.request import (
     SHED_DEGRADED,
     JobTemplate,
     Request,
+    RequestLedger,
 )
 from repro.serve.resilience import CircuitBreaker, RetryManager
 from repro.serve.workload import MIXES
@@ -368,8 +373,11 @@ class QueryServer:
         #: Optional :class:`~repro.obs.timeline.TimelineRecorder` fed
         #: serve events (admissions, terminals, queue depth samples).
         self.timeline = None
-        #: Every request ever created, in arrival order (the report's input).
-        self.requests: list[Request] = []
+        #: What the report reads of every request ever issued, by id.
+        #: Requests themselves are referenced only while in flight (from
+        #: the queue, a run list or the arrival heap) and are dropped
+        #: when they retire here.
+        self.ledger = RequestLedger()
         #: Tables of the most recently dispatched request (locality key).
         self.hot_tables: frozenset[str] = frozenset()
         #: Heap payload is a JobTemplate (fresh arrival) or a Request
@@ -405,6 +413,7 @@ class QueryServer:
         self._seq += 1
 
     def _client_terminal(self, request: Request, now: float) -> None:
+        self.ledger.retire(request)
         if self.timeline is not None:
             self.timeline.count(request.state)
         nxt = self.driver.on_terminal(request.client, now)
@@ -452,14 +461,14 @@ class QueryServer:
             self._assign(t)
             return
         request = Request(
-            request_id=len(self.requests),
+            request_id=len(self.ledger),
             tenant=self.driver.tenant_of(client),
             client=client,
             job=payload,
             arrival_s=t,
             deadline_s=self.deadline_s,
         )
-        self.requests.append(request)
+        self.ledger.open(request)
         if self._degraded(t) and (
             self._tenant_priority(client) >= self.degrade_keep_tenants
         ):
@@ -668,7 +677,8 @@ class QueryServer:
             heapq.heappop(heap)
         return None
 
-    def run(self) -> list[Request]:
+    def run(self) -> RequestLedger:
+        """Serve every arrival to a terminal state; returns the ledger."""
         # The driver's entry list is sorted by (time, seq), which is
         # already a valid heap — adopt it wholesale.
         entries = self.driver.initial_arrival_entries()
@@ -698,4 +708,4 @@ class QueryServer:
             else:
                 break
         self.machine.settle()
-        return self.requests
+        return self.ledger

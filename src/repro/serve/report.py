@@ -22,8 +22,10 @@ its report from the same functions.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable, Optional, Sequence
 
+from repro.obs.sampler import fold_key
 from repro.obs.span import Trace
 from repro.serve.loop import (
     BREAKER_FIELDS,
@@ -54,21 +56,29 @@ WASTE_KEYS = ("request", "attempt", "wasted")
 PLAIN_STATES = (COMPLETED, REJECTED_QUEUE, REJECTED_QUOTA, SHED_TIMEOUT)
 
 
-def percentile(samples: Sequence[float], p: float) -> Optional[float]:
-    """Nearest-rank percentile; None on an empty sample set."""
-    if not samples:
+def _ranked(ordered: Sequence[float], p: float) -> Optional[float]:
+    """Nearest-rank percentile of already sorted samples."""
+    if not ordered:
         return None
-    ordered = sorted(samples)
     rank = max(1, math.ceil(p / 100.0 * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
 
 
+def percentile(samples: Sequence[float], p: float) -> Optional[float]:
+    """Nearest-rank percentile; None on an empty sample set."""
+    return _ranked(sorted(samples), p)
+
+
 def _summary(samples: Sequence[float], unit: str) -> dict:
-    """Count, mean and percentiles; value keys end in ``_{unit}``."""
+    """Count, mean and percentiles; value keys end in ``_{unit}``.
+
+    The mean sums ``samples`` in the order given; the percentiles read
+    one sorted copy."""
     out: dict = {"n": len(samples)}
     out[f"mean_{unit}"] = (sum(samples) / len(samples)) if samples else None
+    ordered = sorted(samples)
     for p in PERCENTILES:
-        out[f"p{p}_{unit}"] = percentile(samples, p)
+        out[f"p{p}_{unit}"] = _ranked(ordered, p)
     return out
 
 
@@ -76,21 +86,21 @@ def latency_summary(latencies: Sequence[float]) -> dict:
     return _summary(latencies, "s")
 
 
-def state_counts(requests: Sequence, states: Sequence[str]) -> dict:
+def state_counts(request_states: Sequence[Optional[str]],
+                 states: Sequence[str]) -> dict:
     """``issued`` plus one count per terminal state in ``states``, in
-    that order; requests in any other state are not counted."""
+    that order.  ``request_states`` holds one state per issued request;
+    any state not in ``states`` is not counted."""
     counts = dict.fromkeys(states, 0)
-    for request in requests:
-        if request.state in counts:
-            counts[request.state] += 1
-    return {"issued": len(requests), **counts}
+    for state in request_states:
+        if state in counts:
+            counts[state] += 1
+    return {"issued": len(request_states), **counts}
 
 
-def _meta_order(key: tuple) -> tuple:
-    return tuple((v is None, str(v)) for v in key)
-
-
-def energy_split(traces: dict, requests: Sequence, delivered: Sequence[str],
+def energy_split(traces: dict,
+                 state_of: Callable[[object], Optional[str]],
+                 delivered: Sequence[str],
                  loser_reason: Callable[[object, object], Optional[str]],
                  ) -> dict:
     """Split every machine's Active energy into useful vs wasted joules.
@@ -103,8 +113,8 @@ def energy_split(traces: dict, requests: Sequence, delivered: Sequence[str],
     float sum, split two ways).  Each group is classified by the first
     rule that applies:
 
-    * its request did not end in a ``delivered`` state: wasted under
-      that terminal state;
+    * its request did not end in a ``delivered`` state
+      (``state_of(request_id)``): wasted under that terminal state;
     * its request was delivered but ``loser_reason(request, attempt)``
       names a reason for the attempt (a retried attempt, a hedge loser,
       a crashed node's partial work, ...): wasted under that reason;
@@ -113,7 +123,6 @@ def energy_split(traces: dict, requests: Sequence, delivered: Sequence[str],
     * otherwise — winning attempts, untagged system work such as idle
       gaps and scheduling — useful, the cost of running the service.
     """
-    state_of = {r.request_id: r.state for r in requests}
     useful_j = 0.0
     wasted_j = 0.0
     by_reason: dict = {}
@@ -122,12 +131,12 @@ def energy_split(traces: dict, requests: Sequence, delivered: Sequence[str],
         groups = traces[name].active_energy_by_metas(WASTE_KEYS)
         m_useful = 0.0
         m_wasted = 0.0
-        for key in sorted(groups, key=_meta_order):
+        for key in sorted(groups, key=fold_key):
             req, attempt, tag = key
             joules = groups[key]
             reason = None
             if req is not None:
-                state = state_of.get(req)
+                state = state_of(req)
                 if state not in delivered:
                     reason = state or "unknown"
                 elif attempt is not None:
@@ -154,32 +163,49 @@ def request_energy(traces: dict) -> dict:
     """Count, mean and percentiles of per-request Active energy.
 
     Each request's joules are folded over the machines in sorted name
-    order, so the sums are deterministic floats.
+    order, so the sums are deterministic floats.  The first non-empty
+    partition becomes the accumulator (each value re-added to 0.0, as
+    the fold does), so a serve run builds one per-request map, not two.
     """
     per_request: dict = {}
     for name in sorted(traces):
         by_request = traces[name].active_energy_by_meta("request")
         by_request.pop(None, None)
+        if not per_request:
+            for rid, joules in by_request.items():
+                by_request[rid] = 0.0 + joules
+            per_request = by_request
+            continue
         for rid, joules in by_request.items():
             per_request[rid] = per_request.get(rid, 0.0) + joules
-    return _summary([per_request[k] for k in sorted(per_request)], "j")
+    samples = [per_request[k] for k in sorted(per_request)]
+    del per_request
+    return _summary(samples, "j")
 
 
 def build_report(config: ServeConfig, server: QueryServer,
                  trace: Trace, injector=None) -> dict:
-    """Assemble the serve run's JSON report."""
-    requests = server.requests
+    """Assemble the serve run's JSON report.
+
+    Per-request figures come from ``server.ledger``'s columns, read in
+    request-id order — the order the retained request list had — so
+    every float sum adds the same operands in the same order.
+    """
+    ledger = server.ledger
     machine = server.machine
     resilient = config.resilient
     states = TERMINAL_STATES if resilient else PLAIN_STATES
-    completed = [r for r in requests if r.state == COMPLETED]
-    latencies = [r.latency_s for r in completed]
+    request_states = ledger.states()
+    latency_col = ledger.latency_s
+    latencies = [latency_col[rid]
+                 for rid, state in enumerate(request_states)
+                 if state == COMPLETED]
 
     by_meta = trace.active_energy_by_meta("tenant")
     system_j = by_meta.pop(None, 0.0)
     tenant_j = dict(sorted(by_meta.items()))
     total_active_j = trace.total_active_j
-    n_completed = len(completed)
+    n_completed = len(latencies)
     energy_per_query_j = (total_active_j / n_completed
                           if n_completed else None)
     latency = latency_summary(latencies)
@@ -189,26 +215,30 @@ def build_report(config: ServeConfig, server: QueryServer,
            else None)
 
     tenants: dict = {}
-    # Single-pass bucketing: one scan of the request list, not one per
+    # Single-pass bucketing: one scan of the tenant column, not one per
     # tenant (the per-tenant filter was O(requests x tenants), minutes
-    # at a million requests over a thousand tenants).  Bucket order
-    # preserves request order, so per-tenant sums are the same floats.
-    by_tenant: dict = {}
-    for r in requests:
-        by_tenant.setdefault(r.tenant, []).append(r)
+    # at a million requests over a thousand tenants).  Buckets hold ids
+    # in ascending order, so per-tenant sums are the same floats.
+    buckets = [array("i") for _ in ledger.tenants]
+    for rid, index in enumerate(ledger.tenant):
+        buckets[index].append(rid)
+    by_tenant = dict(zip(ledger.tenants, buckets))
+    rows = dict(zip(ledger.tenants, ledger.tenant_rows))
     tenant_names = sorted(by_tenant.keys() | set(tenant_j))
     for tenant in tenant_names:
-        t_requests = by_tenant.get(tenant, [])
-        t_completed = [r for r in t_requests if r.state == COMPLETED]
-        t_latencies = [r.latency_s for r in t_completed]
+        t_ids = by_tenant.get(tenant, ())
+        t_completed = [rid for rid in t_ids
+                       if request_states[rid] == COMPLETED]
         active_j = tenant_j.get(tenant, 0.0)
         tenants[tenant] = {
-            "counts": state_counts(t_requests, states),
-            "latency_s": latency_summary(t_latencies),
+            "counts": state_counts([request_states[rid] for rid in t_ids],
+                                   states),
+            "latency_s": latency_summary(
+                [latency_col[rid] for rid in t_completed]),
             "active_j": active_j,
             "energy_per_query_j": (active_j / len(t_completed)
                                    if t_completed else None),
-            "rows": sum(r.rows for r in t_completed),
+            "rows": rows.get(tenant, 0),
         }
 
     snapshot = machine.metrics.snapshot()
@@ -223,7 +253,7 @@ def build_report(config: ServeConfig, server: QueryServer,
         "config": config.report_fields(
             "workload", "policy", "dvfs", *RUN_FIELDS, "cores", "mpl",
             "quantum_rows", "max_queue", "tenant_quota", "queue_timeout_s"),
-        "counts": state_counts(requests, states),
+        "counts": state_counts(request_states, states),
         "latency_s": latency,
         "tenants": tenants,
         "energy": {
@@ -249,9 +279,9 @@ def build_report(config: ServeConfig, server: QueryServer,
         report["config"].update(config.report_fields(
             *BREAKER_FIELDS, "retries", "retry_backoff_s", "retry_jitter",
             "retry_budget", "deadline_s"))
-        final_attempt = {r.request_id: r.failures + 1 for r in requests}
+        final_attempt = ledger.attempts
         split = energy_split(
-            {"serve": trace}, requests, (COMPLETED,),
+            {"serve": trace}, request_states.__getitem__, (COMPLETED,),
             lambda req, attempt: ("retried" if attempt < final_attempt[req]
                                   else None),
         )

@@ -8,16 +8,19 @@ for SQL jobs, one operation for key-value jobs); the serving layer
 time-slices by pulling a quantum of units at a time.
 
 A :class:`Request` is one issued instance of a template: it carries the
-tenant, the arrival time, and the lifecycle state the report
-aggregates.
+tenant, the arrival time, and the lifecycle state.  It lives only while
+in flight: at its terminal state the :class:`RequestLedger` keeps what
+the report reads of it in compact columns, and the request (with its
+work iterator) is dropped.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.errors import DeadlineExceeded
+from repro.errors import DeadlineExceeded, ServeError
 
 # Lifecycle states.
 QUEUED = "queued"
@@ -116,3 +119,72 @@ class Request:
                 f"request {self.request_id} exceeded its {self.deadline_s}s "
                 f"deadline ({now - self.arrival_s:.3f}s since arrival)"
             )
+
+
+#: Ledger state codes index this tuple; code -1 (a request still in
+#: flight) reads as None.
+_LEDGER_STATES = TERMINAL_STATES + (None,)
+_STATE_CODE = {state: code for code, state in enumerate(TERMINAL_STATES)}
+
+
+class RequestLedger:
+    """What the report reads of every issued request, in id-indexed
+    ``array`` columns.
+
+    A row is opened when a request is issued and filled when it
+    retires at its terminal state; after that the server keeps no
+    :class:`Request` (and no work iterator) for it.  A row costs 17
+    bytes — terminal state, arrival-to-finish latency, tenant index and
+    final attempt number.  Tenant names are stored once per tenant, and
+    delivered rows, which the report reads only as per-tenant integer
+    sums, are summed per tenant as requests complete.
+    """
+
+    def __init__(self) -> None:
+        #: Tenant names by index, in first-issue order.
+        self.tenants: list[str] = []
+        self._tenant_index: dict[str, int] = {}
+        #: Rows delivered by each tenant's completed requests.
+        self.tenant_rows: list[int] = []
+        #: Index into ``TERMINAL_STATES``; -1 while in flight.
+        self.state = array("b")
+        #: ``finish_s - arrival_s`` (0.0 while in flight).
+        self.latency_s = array("d")
+        self.tenant = array("i")
+        #: Final attempt number (failures + 1).
+        self.attempts = array("i")
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def open(self, request: Request) -> None:
+        """Add the row of a newly issued request; ids are dense and
+        issued in order, so ``request.request_id`` must equal
+        ``len(self)``."""
+        if request.request_id != len(self.state):
+            raise ServeError(
+                f"request {request.request_id} opened out of order "
+                f"(next id is {len(self.state)})"
+            )
+        index = self._tenant_index.get(request.tenant)
+        if index is None:
+            index = self._tenant_index[request.tenant] = len(self.tenants)
+            self.tenants.append(request.tenant)
+            self.tenant_rows.append(0)
+        self.tenant.append(index)
+        self.state.append(-1)
+        self.latency_s.append(0.0)
+        self.attempts.append(1)
+
+    def retire(self, request: Request) -> None:
+        """Record a request's terminal outcome in its row."""
+        rid = request.request_id
+        self.state[rid] = _STATE_CODE[request.state]
+        self.latency_s[rid] = request.latency_s
+        self.attempts[rid] = request.failures + 1
+        if request.state == COMPLETED:
+            self.tenant_rows[self.tenant[rid]] += request.rows
+
+    def states(self) -> list:
+        """Every request's terminal state by id (None while in flight)."""
+        return [_LEDGER_STATES[code] for code in self.state]

@@ -64,9 +64,10 @@ KV_OPS_PER_JOB = 64
 #: Shape of one ``points`` job: rows per request (below the default
 #: quantum so a request completes in one quantum) and the per-row
 #: micro-op bundle.  The ring is sized to sit inside L1D at the default
-#: cache scale (24 lines over 8 sets = 3 ways of 4), so after the
-#: context switch's kernel walk evicts part of it the first rotation
-#: re-fills it and the remaining rotations fold to bulk L1 hits.
+#: cache scale (the 2 KiB, 8-way L1D has 4 sets; 24 lines fill 6 of the
+#: 8 ways of each), so after the context switch's kernel walk evicts
+#: part of it the first rotation re-fills it and the remaining
+#: rotations fold to bulk L1 hits.
 POINT_ROWS_PER_JOB = 48
 POINT_PROBES_PER_ROW = 128
 POINT_RING_LINES = 24

@@ -199,6 +199,15 @@ class BatchExecutor:
         #: (offsets tuple, base mod line) -> (line-first offsets,
         #: word count, line count).  See :meth:`load_run`.
         self._run_memo: dict = {}
+        #: ``load_run`` regime counters, host-side only like ``ring_*``:
+        #: calls the optimistic L1D pass served whole, calls whose one
+        #: straggler line went to ``load_one``, calls handed to
+        #: ``_load_addrs``, and offsets-memo misses.  Whole-TCM and
+        #: TCM-straddling runs are in none of the three call counts.
+        self.run_l1_calls = 0
+        self.run_straggler_calls = 0
+        self.run_generic_calls = 0
+        self.run_memo_misses = 0
         #: ``(addrs, dependent, mut_epoch, fingerprint, delta)`` of the
         #: last ``load_list`` call, ``delta`` None until a round is
         #: verified as a fixed point.  See :meth:`load_list`.
@@ -391,6 +400,7 @@ class BatchExecutor:
         key = (tup, base & (LINE_SIZE - 1))
         ent = self._run_memo.get(key)
         if ent is None:
+            self.run_memo_misses += 1
             rel = base & (LINE_SIZE - 1)
             firsts = []
             prev_line = -1
@@ -437,14 +447,17 @@ class BatchExecutor:
                 dependent = False
             else:
                 c.cycles += hits * issue
-        if rest is not None:
-            if len(rest) == 1:
-                # One straggler line (the common warm-run shape: every
-                # line hit but the last).  The flattened single-load
-                # path charges it exactly; skip _load_addrs' prologue.
-                self.load_one(rest[0], dependent)
-            else:
-                self._load_addrs(rest, dependent, first_only=True)
+        if rest is None:
+            self.run_l1_calls += 1
+        elif len(rest) == 1:
+            # One straggler line (the common warm-run shape: every line
+            # hit but the last).  The flattened single-load path
+            # charges it exactly; skip _load_addrs' prologue.
+            self.run_straggler_calls += 1
+            self.load_one(rest[0], dependent)
+        else:
+            self.run_generic_calls += 1
+            self._load_addrs(rest, dependent, first_only=True)
         bulk = n - n_first
         if bulk > 0:
             l1.hits += bulk

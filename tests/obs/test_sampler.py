@@ -16,8 +16,16 @@ import json
 
 import pytest
 
+import random
+
 from repro.faults import FaultPlan
-from repro.obs.sampler import NullTelemetry, SamplingAggregator
+from repro.obs.sampler import (
+    META_KEYS,
+    MetaEnergy,
+    NullTelemetry,
+    SamplingAggregator,
+    TelemetrySummary,
+)
 from repro.serve import ServeConfig, run_serve
 
 #: Fault rates high enough that every run wastes visible joules over
@@ -152,6 +160,71 @@ class TestAggregator:
             SamplingAggregator(quiet_machine, exemplar_rate=1.5)
         with pytest.raises(ConfigError):
             SamplingAggregator(quiet_machine, reservoir_size=0)
+
+
+def _random_metas(rng: random.Random, n: int) -> list:
+    """Credits over metas shaped like a chaos serve run's: int request
+    ids (past 10, so str order differs from numeric), retried
+    attempts, waste tags, the untagged system row, string requests."""
+    tenants = [f"tenant{i}" for i in range(12)]
+    credits = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.05:
+            meta = (None, None, None, None)
+        elif roll < 0.1:
+            meta = (rng.choice(tenants), f"r{rng.randrange(30)}",
+                    f"a{rng.randrange(3)}", None)
+        else:
+            rid = rng.randrange(600)
+            meta = (tenants[rid % 12], rid,
+                    1 if rng.random() < 0.8 else rng.randrange(2, 12),
+                    None if rng.random() < 0.8
+                    else rng.choice(("stall", "retry_io")))
+        credits.append((meta, [rng.random() * 1e-3 for _ in range(4)]))
+    return credits
+
+
+class TestMetaEnergy:
+    """The compact columns must fold exactly like the per-meta dict
+    they replace, sorted by ``(v is None, str(v))`` per field."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_folds_match_sorted_dict(self, seed):
+        rng = random.Random(seed)
+        columns = MetaEnergy()
+        reference: dict = {}
+        for meta, values in _random_metas(rng, 3000):
+            columns.add(columns.row(meta), *values)
+            entry = reference.setdefault(meta, [0.0, 0.0, 0.0, 0.0])
+            for i, value in enumerate(values):
+                entry[i] += value
+        summary = TelemetrySummary("package+dram", None, {}, columns,
+                                   [], 0.0, 0)
+        ordered = sorted(reference.items(), key=lambda kv: tuple(
+            (v is None, str(v)) for v in kv[0]))
+
+        def fold(index):
+            groups: dict = {}
+            for meta, (_, package, dram, _) in ordered:
+                owner = index(meta)
+                groups[owner] = groups.get(owner, 0.0) + (package + dram)
+            return groups
+
+        assert summary.total_active_j == sum(
+            package + dram for _, (_, package, dram, _) in ordered)
+        for i, key in enumerate(META_KEYS):
+            assert summary.active_energy_by_meta(key) == fold(
+                lambda meta: meta[i])
+        keys = ("request", "attempt", "wasted")
+        assert summary.active_energy_by_metas(keys) == fold(
+            lambda meta: meta[1:])
+        # One dense row per int request id; the sparse rows are the
+        # system row, string requests and requests' later metas.
+        dense = sum(1 for code in columns.code if code >= 0)
+        assert dense == len({meta[1] for meta in reference
+                             if type(meta[1]) is int})
+        assert dense + len(columns.sparse_meta) == len(reference)
 
 
 class TestServeModes:

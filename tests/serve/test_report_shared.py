@@ -9,15 +9,9 @@ from repro.serve import ServeConfig, render_serve_summary
 from repro.serve.report import SUMMARY_REASONS, state_counts, waste_line
 
 
-class _Request:
-    def __init__(self, state):
-        self.state = state
-
-
 class TestStateCounts:
     def test_counts_listed_states_in_order(self):
-        requests = [_Request(s) for s in ("b", "a", "b", "other", None)]
-        counts = state_counts(requests, ("a", "b"))
+        counts = state_counts(["b", "a", "b", "other", None], ("a", "b"))
         assert list(counts.items()) == [("issued", 5), ("a", 1), ("b", 2)]
 
 

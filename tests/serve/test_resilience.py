@@ -397,7 +397,7 @@ class TestFailedAttemptRowAccounting:
         server, job = self._server_with_faulty_job()
         req = Request(request_id=0, tenant="tenant0", client=0, job=job,
                       arrival_s=0.0)
-        server.requests.append(req)
+        server.ledger.open(req)
         server.admission.offer(req, 0.0)
         server.admission.take(req, 0.0)
         core = server.core_set.cores[0]

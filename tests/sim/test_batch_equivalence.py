@@ -544,6 +544,30 @@ def test_ring_regimes_on_points_steady_state():
     assert verified["l2"] > 0.9 * 2 * n_rings * 32
 
 
+def test_load_run_regimes_on_a_small_scan():
+    """Rows read through ``load_run`` with one memoised offsets tuple
+    (three lines a row): the cold pass hands each row to the generic
+    walk, the two warm passes and a rescan at another line offset are
+    served by the optimistic L1D pass, and a row whose last line alone
+    is cold sends that straggler to ``load_one``.  Each new ``(offsets,
+    base mod line)`` pair is one memo miss."""
+    row = (0, 8, 16, 72, 80, 136)
+
+    def body(machine):
+        ex = machine.exec
+        buf = machine.address_space.alloc_lines(4 * 3, "rows")
+        for _ in range(3):
+            for r in range(4):
+                ex.load_run(buf.base + 192 * r, row)
+        tail = machine.address_space.alloc_lines(3, "tail")
+        ex.load_run(tail.base, (0, 8, 72))
+        ex.load_run(tail.base, row)
+        ex.load_run(buf.base + 8, row)
+    ex = _assert_modes_agree(body)
+    assert (ex.run_l1_calls, ex.run_straggler_calls,
+            ex.run_generic_calls, ex.run_memo_misses) == (9, 1, 5, 3)
+
+
 def test_load_ring_cursor_matches_reference():
     """Both executors must report the same final cursor for the same
     walk (the fold must not desynchronise the cursor)."""

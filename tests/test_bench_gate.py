@@ -95,6 +95,12 @@ def _cli_report(**kw):
         },
         "reports_identical": True,
     }
+    report["serve_memory"] = {
+        "queries": [2000, 8000],
+        "clients": 40,
+        "retained_b_per_request": 53.3,
+        "peak_b_per_request": 259.0,
+    }
     return report
 
 
@@ -214,6 +220,38 @@ class TestClusterGate:
         current = _cli_report()
         current["cluster"]["cells"]["n2_f0"]["energy_per_query_j"] = 1e-4
         assert check_regression(current, _cli_report()) == []
+
+
+class TestServeMemoryGate:
+    def test_identical_reports_pass(self):
+        base = _cli_report()
+        assert check_regression(copy.deepcopy(base), base) == []
+
+    def test_retained_growth_fails(self):
+        current = _cli_report()
+        current["serve_memory"]["retained_b_per_request"] = 700.0
+        failures = check_regression(current, _cli_report())
+        assert any("serve_memory" in f and "retained_b_per_request" in f
+                   for f in failures)
+
+    def test_peak_growth_fails(self):
+        current = _cli_report()
+        current["serve_memory"]["peak_b_per_request"] = 400.0
+        failures = check_regression(current, _cli_report())
+        assert any("serve_memory" in f and "peak_b_per_request" in f
+                   for f in failures)
+
+    def test_small_wobble_and_improvement_pass(self):
+        current = _cli_report()
+        current["serve_memory"]["retained_b_per_request"] = 60.0
+        current["serve_memory"]["peak_b_per_request"] = 120.0
+        assert check_regression(current, _cli_report()) == []
+
+    def test_missing_section_fails(self):
+        current = _cli_report()
+        del current["serve_memory"]
+        failures = check_regression(current, _cli_report())
+        assert any("serve_memory: section missing" in f for f in failures)
 
 
 class TestBenchCli:

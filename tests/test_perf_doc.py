@@ -93,3 +93,11 @@ def test_scan_table_row(doc, bench, label):
         values = [entry[key] for entry in entries]
         assert _agrees(low, min(values)), key
         assert _agrees(high, max(values)), key
+
+
+def test_serve_memory_row(doc, bench):
+    memory = bench["serve_memory"]
+    row = _find(r"\| retired at the terminal state \| ([\d.]+) \| "
+                r"([\d.]+) \|", doc)
+    assert _agrees(row.group(1), memory["retained_b_per_request"])
+    assert _agrees(row.group(2), memory["peak_b_per_request"])
