@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.lab import ENGINE_ORDER, Lab, SWEEP_QUERIES
+from repro.analysis.lab import ENGINE_ORDER, Lab, LabConfig, SWEEP_QUERIES
+from repro.config import arm1176jzf_s
 from repro.core.accuracy import verify
 from repro.core.breakdown import price_counters
 from repro.core.model import EnergyBreakdown, sum_breakdowns
@@ -25,6 +26,7 @@ from repro.core.report import (
     render_verification,
 )
 from repro.micro.runner import RuntimeConfig, run_microbenchmark
+from repro.sim.machine import Machine
 from repro.tcm.poc import run_poc
 from repro.workloads.basic_ops import BASIC_OPERATIONS, run_basic_operation
 from repro.workloads.cpu2006 import CPU2006_WORKLOADS, run_kernel
@@ -537,9 +539,12 @@ def tab05(lab: Optional[Lab] = None,
 
 def fig13(lab: Optional[Lab] = None,
           queries: tuple = ALL_QUERY_NUMBERS) -> ExperimentResult:
-    """Figure 13: the DTCM proof-of-concept on the ARM preset."""
-    seed = lab.config.seed if lab is not None else 0
-    poc = run_poc(queries=queries, seed=seed)
+    """Figure 13: the DTCM proof-of-concept on the ARM preset, on its
+    own machine in the lab's seed and exec mode."""
+    config = lab.config if lab is not None else LabConfig()
+    machine = Machine(arm1176jzf_s(), seed=config.seed,
+                      exec_mode=config.exec_mode)
+    poc = run_poc(queries=queries, seed=config.seed, machine=machine)
     rows = [
         [f"Q{c.number}", c.energy_saving_pct, c.perf_improvement_pct]
         for c in poc.comparisons

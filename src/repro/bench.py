@@ -45,14 +45,23 @@ from repro.sim.machine import Machine
 #: identity gates).  v6 extended ``serve.tpch`` with the cross-mode and
 #: run_rows-vs-next report-identity flags and gated the section (ratio
 #: vs baseline plus the absolute :data:`SERVE_TPCH_MIN_SPEEDUP` floor).
-#: The ``serve_memory`` section (bytes per request) is additive and
-#: optional on both sides of the gate, so it kept the v6 stamp.
+#: The ``serve_memory`` section (bytes per request) and the
+#: ``row_load_run.load_run_regimes`` split are additive and optional on
+#: both sides of the gate, so they kept the v6 stamp.
 SCHEMA_VERSION = 6
 
 #: Absolute floor for the ``serve.tpch`` batched/reference speedup: the
 #: batched-session path must never regress below the seed revision's
 #: measured 1.22x, whatever the baseline file says.
 SERVE_TPCH_MIN_SPEEDUP = 1.22
+
+#: ``BatchExecutor.load_run`` call counters ``row_load_run`` records
+#: from its batched run; together they count every call.
+RUN_REGIMES = ("run_l1_calls", "run_straggler_calls", "run_generic_calls")
+
+#: Least share of ``row_load_run``'s calls the optimistic L1D pass of
+#: ``load_run`` must serve: the pass is kept for this shape alone.
+RUN_L1_MIN_SHARE = 0.99
 
 #: Default output file, at the repository root by convention.
 DEFAULT_OUT = "BENCH_simperf.json"
@@ -119,9 +128,11 @@ def _cold_scan_mops(mode: str, reps: int) -> tuple[float, dict]:
     return best, machine.cpu.counters.as_dict()
 
 
-def _row_load_run_mops(mode: str, rows: int) -> tuple[float, dict]:
+def _row_load_run_mops(mode: str, rows: int,
+                       regimes: Optional[dict] = None) -> tuple[float, dict]:
     """The table-scan row shape: one short load_run per row over a
-    buffer-pool-resident page (the repro.db seq_scan inner loop)."""
+    buffer-pool-resident page (the repro.db seq_scan inner loop).  A
+    batched run writes its :data:`RUN_REGIMES` into ``regimes``."""
     machine = Machine(intel_i7_4790(scale=1), exec_mode=mode)
     base = machine.address_space.alloc_lines(64, "bench-page").base
     offsets = (0, 8, 16, 24, 40, 56)
@@ -137,8 +148,20 @@ def _row_load_run_mops(mode: str, rows: int) -> tuple[float, dict]:
         elapsed = time.perf_counter() - t0
         done += per
         best = max(best, per * len(offsets) / elapsed)
+    if regimes is not None and mode == "batched":
+        regimes.update((name, getattr(ex, name)) for name in RUN_REGIMES)
     machine.settle()
     return best, machine.cpu.counters.as_dict()
+
+
+def _row_load_run(rows: int) -> dict:
+    """The ``row_load_run`` entry: both modes compared, plus the batched
+    run's ``load_run`` regime split."""
+    regimes: dict = {}
+    entry = _compare(
+        lambda mode, n: _row_load_run_mops(mode, n, regimes), rows)
+    entry["load_run_regimes"] = regimes
+    return entry
 
 
 def _compare(fn, reps: int) -> dict:
@@ -503,8 +526,7 @@ def run_bench(quick: bool = False) -> dict:
                 "scan_path.cold_stream_scan",
                 lambda: _compare(_cold_scan_mops, cold_reps)),
         },
-        "row_load_run": timed(
-            "row_load_run", lambda: _compare(_row_load_run_mops, rows)),
+        "row_load_run": timed("row_load_run", lambda: _row_load_run(rows)),
         "tpch": timed("tpch", lambda: _tpch_seconds(
             "10MB" if quick else "100MB", (1, 6))),
         "serve": {
@@ -573,6 +595,21 @@ def check_regression(current: dict, baseline: dict,
         current.get("row_load_run", {}).get("batched_mops"),
         baseline.get("row_load_run", {}).get("batched_mops"),
     )
+    # The share gate: load_run's optimistic L1D pass is kept for this
+    # shape, so it fails by name if it stops serving it.
+    regimes = current.get("row_load_run", {}).get("load_run_regimes")
+    if regimes is not None:
+        calls = sum(regimes.get(name, 0) for name in RUN_REGIMES)
+        share = regimes.get("run_l1_calls", 0) / calls if calls else 0.0
+        if share < RUN_L1_MIN_SHARE:
+            failures.append(
+                f"row_load_run: run_l1_calls served {share:.1%} of "
+                f"load_run calls, under the {RUN_L1_MIN_SHARE:.0%} share "
+                "gate (the optimistic L1D pass disengaged)"
+            )
+    elif baseline.get("row_load_run", {}).get("load_run_regimes") is not None:
+        failures.append(
+            "row_load_run: load_run_regimes missing from current report")
 
     def gate_ratio(name: str, new_ratio, old_ratio) -> None:
         if new_ratio and old_ratio:

@@ -97,7 +97,12 @@ def merge_partials(aggs: Sequence[AggSpec],
         if not values:
             merged.append(0 if spec.kind == "count" else None)
         elif spec.kind in ("count", "sum"):
-            merged.append(sum(values))
+            # A left fold from 0, not builtin sum: 3.12 compensates a
+            # float sum (Neumaier), which would change the bits.
+            total = 0
+            for value in values:
+                total += value
+            merged.append(total)
         elif spec.kind == "min":
             merged.append(min(values))
         elif spec.kind == "max":

@@ -19,17 +19,17 @@ of the generic walk (see :meth:`BatchExecutor.scan_lines`).
 
 Strided ring walks (``load_ring``: the serve core's point lookups, the
 context-switch kernel walk, operator cold-set probes) take one verified
-walk for every uniform service level: a run of L1D hits, or a run of
-misses all served at L2, at L3 or from DRAM whose prefetcher response
-is proved before the run starts.  A run applies only its LRU moves,
-fills and evictions and charges its counters once; a probe no proof
-covers goes alone through the generic walk, and once a rotation leaves
-all its lines L1D-resident the rest of the call folds into one bulk
-update (see :meth:`BatchExecutor._ring_fast`).  A ring the verified
-walk declines (no L2/L3, a ring overlapping the TCM window, a zero
-step) makes one pass of the generic walk.  Dependent probe chains
-(``load_chain``: B-tree, SSTable and bloom descents) take the generic
-walk in one call (see :meth:`BatchExecutor.load_chain`).
+walk for every uniform miss level: a run of misses all served at L2, at
+L3 or from DRAM whose prefetcher response is proved before the run
+starts.  A run applies only its LRU moves, fills and evictions and
+charges its counters once; an L1D hit, or a probe no proof covers, goes
+alone through the generic walk, and once a rotation leaves all its
+lines L1D-resident the rest of the call folds into one bulk update (see
+:meth:`BatchExecutor._ring_fast`).  A ring the verified walk declines
+(no L2/L3, a ring overlapping the TCM window, a zero step) makes one
+pass of the generic walk.  Dependent probe chains (``load_chain``:
+B-tree, SSTable and bloom descents) take the generic walk in one call
+(see :meth:`BatchExecutor.load_chain`).
 
 The batched path is **bit-identical** to the reference path: it performs
 the same set/LRU mutations in the same order and applies the same cycle
@@ -59,13 +59,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.sim.address_space import LINE_SHIFT, LINE_SIZE
 from repro.sim.cpu import Cpu
-from repro.sim.hierarchy import (
-    LEVEL_L1D,
-    LEVEL_L2,
-    LEVEL_L3,
-    LEVEL_MEM,
-    LEVEL_TCM,
-)
+from repro.sim.hierarchy import LEVEL_L1D, LEVEL_L2, LEVEL_L3, LEVEL_MEM
 
 EXEC_MODES = ("reference", "batched")
 
@@ -202,8 +196,9 @@ class BatchExecutor:
         #: ``load_run`` regime counters, host-side only like ``ring_*``:
         #: calls the optimistic L1D pass served whole, calls whose one
         #: straggler line went to ``load_one``, calls handed to
-        #: ``_load_addrs``, and offsets-memo misses.  Whole-TCM and
-        #: TCM-straddling runs are in none of the three call counts.
+        #: ``_load_addrs`` (runs touching the TCM window included), and
+        #: offsets-memo misses.  The three call counts partition every
+        #: non-empty call.
         self.run_l1_calls = 0
         self.run_straggler_calls = 0
         self.run_generic_calls = 0
@@ -219,11 +214,11 @@ class BatchExecutor:
         self.list_replayed_loads = 0
         self.list_verify_failed: dict = {}
         #: Ring-walk regime counters (see :meth:`_ring_walk`), also
-        #: host-side only: probes served by a verified run, by level;
-        #: probes folded into bulk rotations; probes handed to the
-        #: generic walk, whole declined rings included; and the proofs
-        #: that failed, by reason.
-        self.ring_verified_loads = {"l1": 0, "l2": 0, "l3": 0, "mem": 0}
+        #: host-side only: probes served by a verified miss run, by
+        #: level; probes folded into bulk rotations; probes handed to the
+        #: generic walk, whole declined rings included; and the reasons
+        #: for those handoffs (failed proofs, L1D hits).
+        self.ring_verified_loads = {"l2": 0, "l3": 0, "mem": 0}
         self.ring_folded_loads = 0
         self.ring_generic_loads = 0
         self.ring_verify_failed: dict = {}
@@ -250,6 +245,15 @@ class BatchExecutor:
         #: :meth:`load_chain` calls and the loads they charged.
         self.chain_walks = 0
         self.chain_loads = 0
+        #: Per-op regime counters, host-side only like ``ring_*``:
+        #: :meth:`load_one` calls served inline at L1D and at L2, and
+        #: those handed to ``Cpu.load``; :meth:`store_one` calls served
+        #: inline at L1D, and those handed to ``Cpu.store``.
+        self.one_l1_loads = 0
+        self.one_l2_loads = 0
+        self.one_generic_loads = 0
+        self.store_l1_stores = 0
+        self.store_generic_stores = 0
 
     # ------------------------------------------------------------ public API
 
@@ -293,28 +297,38 @@ class BatchExecutor:
             c.l1d_hits += bulk
             c.cycles += bulk * cpu.timing.load_issue
 
-    def load_bytes(self, addr: int, nbytes: int, dependent: bool = False) -> None:
+    def _words(self, addr: int, nbytes: int) -> Optional[tuple]:
+        """Bump the epoch and split an ``nbytes`` access at ``addr`` into
+        ``(line heads, trailing words)``: the first word of each touched
+        line, which takes the walk, and the count of same-line words
+        after it, which are guaranteed L1D hits.  None when the access
+        overlaps the TCM window, whose bulk and boundary-straddle
+        handling both modes share with ``Cpu``."""
         n_words = max(1, (nbytes + 7) // 8)
         last = addr + 8 * (n_words - 1)
-        cpu = self.cpu
-        cpu.hierarchy.mut_epoch += 1
-        tcm = cpu.hierarchy.tcm_region
+        hier = self.cpu.hierarchy
+        hier.mut_epoch += 1
+        tcm = hier.tcm_region
         if tcm is not None and addr < tcm.end and last >= tcm.base:
-            # TCM bulk / boundary-straddle handling is identical in both
-            # modes; reuse the reference implementation.
+            return None
+        first_line = addr >> LINE_SHIFT
+        last_line = last >> LINE_SHIFT
+        if last_line == first_line:
+            return (addr,), n_words - 1
+        word0 = addr & 7
+        heads = [addr]
+        heads += [(line << LINE_SHIFT) | word0
+                  for line in range(first_line + 1, last_line + 1)]
+        return heads, n_words - len(heads)
+
+    def load_bytes(self, addr: int, nbytes: int, dependent: bool = False) -> None:
+        words = self._words(addr, nbytes)
+        cpu = self.cpu
+        if words is None:
             cpu.load_bytes(addr, nbytes, dependent)
             return
-        first_line = addr >> LINE_SHIFT
-        extra_lines = (last >> LINE_SHIFT) - first_line
-        if extra_lines == 0:
-            addrs = (addr,)
-        else:
-            word0 = addr & 7
-            addrs = [addr]
-            for i in range(1, extra_lines + 1):
-                addrs.append(((first_line + i) << LINE_SHIFT) | word0)
-        self._load_addrs(addrs, dependent, first_only=True)
-        bulk = n_words - 1 - extra_lines
+        heads, bulk = words
+        self._load_addrs(heads, dependent, first_only=True)
         if bulk > 0:
             c = cpu.counters
             c.n_load_inst += bulk
@@ -323,25 +337,13 @@ class BatchExecutor:
             c.cycles += bulk * cpu.timing.load_issue
 
     def store_bytes(self, addr: int, nbytes: int) -> None:
-        n_words = max(1, (nbytes + 7) // 8)
-        last = addr + 8 * (n_words - 1)
+        words = self._words(addr, nbytes)
         cpu = self.cpu
-        cpu.hierarchy.mut_epoch += 1
-        tcm = cpu.hierarchy.tcm_region
-        if tcm is not None and addr < tcm.end and last >= tcm.base:
+        if words is None:
             cpu.store_bytes(addr, nbytes)
             return
-        first_line = addr >> LINE_SHIFT
-        extra_lines = (last >> LINE_SHIFT) - first_line
-        if extra_lines == 0:
-            addrs = (addr,)
-        else:
-            word0 = addr & 7
-            addrs = [addr]
-            for i in range(1, extra_lines + 1):
-                addrs.append(((first_line + i) << LINE_SHIFT) | word0)
-        self._store_addrs(addrs)
-        bulk = n_words - 1 - extra_lines
+        heads, bulk = words
+        self._store_addrs(heads)
         if bulk > 0:
             c = cpu.counters
             c.n_store_inst += bulk
@@ -355,30 +357,14 @@ class BatchExecutor:
         cpu = self.cpu
         cpu.hierarchy.mut_epoch += 1
         tcm = cpu.hierarchy.tcm_region
-        if tcm is not None:
-            first = base + offsets[0]
-            last = base + offsets[-1]
-            if first < tcm.end and last >= tcm.base:
-                if tcm.base <= first and last < tcm.end:
-                    # Whole run in TCM: bulk accounting.
-                    c = cpu.counters
-                    n = len(offsets)
-                    c.n_tcm_load += n
-                    c.n_load_inst += n
-                    if dependent:
-                        latency = cpu._latency[LEVEL_TCM]
-                        c.cycles += latency
-                        c.stall_cycles += latency - 1.0
-                        c.cycles += (n - 1) * cpu.timing.load_issue
-                    else:
-                        c.cycles += n * cpu.timing.load_issue
-                else:
-                    # Straddles the TCM boundary: exact per-op fallback.
-                    load = cpu.load
-                    for off in offsets:
-                        load(base + off, dependent)
-                        dependent = False
-                return
+        if (tcm is not None and base + offsets[0] < tcm.end
+                and base + offsets[-1] >= tcm.base):
+            # A run touching the TCM window: every word takes the
+            # generic walk, in the reference path's per-op order.
+            self.run_generic_calls += 1
+            self._load_addrs([base + off for off in offsets], dependent,
+                             first_only=True)
+            return
         # The first word of each touched line takes the full path; the
         # trailing same-line words are guaranteed L1D hits (ascending
         # offsets keep the line MRU) — the reference path probes them
@@ -544,7 +530,8 @@ class BatchExecutor:
         c0 = c.copy()
         stats0 = [getattr(obj, name) for obj, name in stats]
         self.list_walks += 1
-        self._list_walk(addrs, dependent)
+        hier.mut_epoch += 1
+        self._load_addrs(addrs, dependent)
         d = c.minus(c0)
         if not (exact and _on_grid(c.cycles, c.stall_cycles)):
             reason = "inexact"
@@ -584,61 +571,16 @@ class BatchExecutor:
             setattr(obj, name, getattr(obj, name) + v)
         return True
 
-    def _list_walk(self, addrs: Sequence[int], dependent: bool) -> None:
-        """One ``load_list`` round through the hierarchy."""
-        cpu = self.cpu
-        hier = cpu.hierarchy
-        hier.mut_epoch += 1
-        # Optimistic pass, as in load_run: L1D hits (the resident-list
-        # pointer-chase case) are applied inline and in order; the first
-        # miss — or any TCM address — hands the rest, uncopied, to the
-        # full walk.  ``dependent`` applies to every load here, so the
-        # hit bulk prices each hit at the dependent L1 latency.
-        l1 = hier.l1d
-        s1 = l1._sets
-        m1 = l1._set_mask
-        tcm = hier.tcm_region
-        if tcm is not None:
-            tbase = tcm.base
-            tend = tcm.base + tcm.size
-        else:
-            tbase = 1
-            tend = 0
-        hits = 0
-        for a in addrs:
-            if tbase <= a < tend:
-                break
-            line = a >> LINE_SHIFT
-            set1 = s1[line & m1]
-            if line not in set1:
-                break
-            set1.move_to_end(line)
-            hits += 1
-        if hits:
-            c = cpu.counters
-            l1.hits += hits
-            c.n_l1d += hits
-            c.l1d_hits += hits
-            c.n_load_inst += hits
-            if dependent:
-                lat_l1 = cpu._latency[LEVEL_L1D]
-                c.cycles += hits * lat_l1
-                c.stall_cycles += hits * (lat_l1 - 1.0)
-            else:
-                c.cycles += hits * cpu.timing.load_issue
-        if hits < len(addrs):
-            self._load_addrs(islice(addrs, hits, None), dependent)
-
     def load_one(self, addr: int, dependent: bool = False) -> int:
         """One load instruction, flattened to a single frame.
 
         ``Machine.load`` routes here in batched mode (B-tree descents,
         buffer-pool headers, KV probes — the per-op stragglers that
-        never form a run).  The L1D-hit common case is applied inline
-        with exactly the reference path's counter and cycle updates;
-        TCM addresses and misses hand the address to the generic walk,
-        which is the proven-equivalent cascade.  Bumps the mutation
-        epoch like the ``Machine.load`` wrapper it replaces.
+        never form a run).  L1D and L2 hits are applied inline with
+        exactly the reference path's state, counter and cycle updates;
+        TCM addresses and deeper misses take ``Cpu.load`` itself.  Bumps
+        the mutation epoch like the ``Machine.load`` wrapper it
+        replaces.
         """
         cpu = self.cpu
         hier = cpu.hierarchy
@@ -661,6 +603,7 @@ class BatchExecutor:
                     c.stall_cycles += lat_l1 - 1.0
                 else:
                     c.cycles += cpu.timing.load_issue
+                self.one_l1_loads += 1
                 return LEVEL_L1D
             # L1D miss, L2 hit: the dominant miss shape for the per-op
             # stragglers (B-tree nodes and page headers bounce between
@@ -705,9 +648,11 @@ class BatchExecutor:
                         if exposed > 0.0:
                             c.cycles += exposed
                             c.stall_cycles += exposed
+                    self.one_l2_loads += 1
                     return LEVEL_L2
         # TCM window or deep miss: the per-op model path (those misses
         # do the heavy cascade anyway, so the extra frames are noise).
+        self.one_generic_loads += 1
         return cpu.load(addr, dependent)
 
     def load_chain(self, addrs: Sequence[int], pre: Sequence[str] = (),
@@ -748,8 +693,8 @@ class BatchExecutor:
         """One store instruction, flattened like :meth:`load_one` (the
         ``Machine.store`` batched route).  A hit refreshes LRU order,
         dirties the line, and pays the 1-cycle store-buffer issue —
-        identical to ``Cpu.store`` on an L1D hit; everything else
-        (TCM, write-allocate misses) takes the generic store walk."""
+        identical to ``Cpu.store`` on an L1D hit; TCM addresses and
+        write-allocate misses take ``Cpu.store`` itself."""
         cpu = self.cpu
         hier = cpu.hierarchy
         hier.mut_epoch += 1
@@ -767,35 +712,9 @@ class BatchExecutor:
                 c.n_store_l1d_hit += 1
                 c.n_store_inst += 1
                 c.cycles += cpu.timing.store_issue
+                self.store_l1_stores += 1
                 return
-            l2 = hier.l2
-            if l2 is not None:
-                set2 = l2._sets[line & l2._set_mask]
-                if line in set2:
-                    # Write-allocate serviced from L2: the miss fetches
-                    # the line into L1D dirty (an RFO); no prefetcher —
-                    # it trains on demand-load misses only.
-                    set2.move_to_end(line)
-                    l2.hits += 1
-                    l1.misses += 1
-                    c = cpu.counters
-                    c.n_store += 1
-                    c.n_l2 += 1
-                    c.l2_hits += 1
-                    l1.fills += 1
-                    if len(set1) >= l1.assoc:
-                        v, vd = set1.popitem(False)
-                        l1.evictions += 1
-                        if vd:
-                            l1.dirty_evictions += 1
-                            c.n_writeback += 1
-                            hier._fill_l2(v, True)
-                    else:
-                        l1._occupancy += 1
-                    set1[line] = True
-                    c.n_store_inst += 1
-                    c.cycles += cpu.timing.store_issue
-                    return
+        self.store_generic_stores += 1
         cpu.store(addr)
 
     def load_ring(self, base: int, cursor: int, stride: int, count: int,
@@ -928,13 +847,13 @@ class BatchExecutor:
                    period: int, step1: bool, exposed) -> None:
         """Demand loads for one ring rotation segment.
 
-        A segment is served in runs.  A run of L1D hits only refreshes
-        LRU order.  A run of misses is served at one level — L2 hit, L3
-        hit or DRAM, chosen from its first probe.  Each probe's shape is
-        checked with plain ``in`` tests *before* it mutates anything,
-        and the run stops at the first probe that hits L1D or is served
-        at another level.  The run applies only the LRU moves, fills and
-        evictions; dirty victims still write back through the
+        A segment is served in runs of misses, each at one level — L2
+        hit, L3 hit or DRAM, chosen from its first probe; a probe that
+        hits L1D goes alone through the generic walk.  Each probe's
+        shape is checked with plain ``in`` tests *before* it mutates
+        anything, and the run stops at the first probe that hits L1D or
+        is served at another level.  The run applies only the LRU moves,
+        fills and evictions; dirty victims still write back through the
         hierarchy's own ``_fill_l2``/``_fill_l3``, so the cascade logic
         stays in one place.  Its counters are derived once (fills =
         misses, evictions = probes − underfull inserts), and its cycle
@@ -953,7 +872,7 @@ class BatchExecutor:
         bounds every run until the next proof.  The moving slot holds
         the previous miss.  Within a run consecutive probes differ by
         the ring step, which is never 0 and, unless ``step1``, never 1;
-        after a hit run the moving slot is rechecked against the next
+        after an L1D hit the moving slot is rechecked against the next
         miss.  A probe that fails a proof goes alone through the exact
         generic walk, and the walk proves again from the next probe.
         A configuration no proof can pass (another train threshold, a
@@ -983,19 +902,8 @@ class BatchExecutor:
         while pos < n:
             line, set1, set2, set3 = seg[pos]
             if line in set1:
-                h = 0
-                for line, set1, _, _ in islice(seg, pos, None):
-                    if line not in set1:
-                        break
-                    set1.move_to_end(line)
-                    h += 1
-                l1.hits += h
-                c.n_l1d += h
-                c.l1d_hits += h
-                c.n_load_inst += h
-                c.cycles += h * issue
-                verified["l1"] += h
-                pos += h
+                self._ring_generic(seg, pos, "l1_hit", 1)
+                pos += 1
                 continue
             if pos >= stop:
                 if pf.train_threshold != 2:
@@ -1023,7 +931,7 @@ class BatchExecutor:
                 bump = 1 not in run
                 slot = pf._victim if bump else run.index(1)
             elif pf_on and (last[slot] == line or last[slot] == line - 1):
-                # The moving slot's last miss lies a hit run back.
+                # The moving slot's last miss lies L1D hits back.
                 self._ring_generic(seg, pos, "tracker", 1)
                 pos += 1
                 stop = -1

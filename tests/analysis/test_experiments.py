@@ -4,7 +4,14 @@ checks are asserted — the slow sweeps are exercised by benchmarks/)."""
 import pytest
 
 from repro.analysis import EXPERIMENTS, Lab, LabConfig, tab01, tab02, tab03
-from repro.analysis.experiments import ExperimentResult, fig13, tab05
+from repro.analysis.experiments import (
+    ExperimentResult,
+    ext_nosql,
+    fig10,
+    fig13,
+    tab05,
+)
+from repro.sim.batch import EXEC_MODES
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +76,45 @@ class TestCheapExperiments:
         result = ExperimentResult("x", "t", "text", {}, {"a": True, "b": False})
         assert not result.all_checks_pass
         assert result.failed_checks() == ["b"]
+
+
+@pytest.fixture(scope="module")
+def mode_labs():
+    return {mode: Lab(LabConfig(scale=16, tier="10MB", exec_mode=mode))
+            for mode in EXEC_MODES}
+
+
+class TestExecModes:
+    """Experiments regenerate bit-identical ``data`` and ``text`` in both
+    exec modes (EXPERIMENTS.md).  These three reach the batched
+    executor's rarest shapes: write-allocate stores served from L2
+    (fig10 and ext_nosql, whose default ``n_keys`` is the smallest that
+    flushes a memtable) and row reads in the ARM preset's DTCM window
+    (fig13)."""
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda lab: fig10(lab, ops=5000), id="fig10"),
+        pytest.param(lambda lab: fig13(lab, queries=(1, 3, 6, 12)),
+                     id="fig13"),
+        pytest.param(ext_nosql, id="ext_nosql"),
+    ])
+    def test_identical_in_both_modes(self, mode_labs, run):
+        results = {mode: run(lab) for mode, lab in mode_labs.items()}
+        assert repr(results["reference"].data) == repr(results["batched"].data)
+        assert results["reference"].text == results["batched"].text
+        # Counters the breakdowns never read must agree too.
+        states = {mode: _machine_state(lab.machine)
+                  for mode, lab in mode_labs.items()}
+        assert states["reference"] == states["batched"]
+
+
+def _machine_state(machine) -> tuple:
+    """PMU counters plus every cache level's statistics."""
+    hier = machine.hierarchy
+    levels = [lv for lv in (hier.l1d, hier.l2, hier.l3) if lv is not None]
+    return (repr(machine.cpu.counters.as_dict()),
+            [(lv.hits, lv.misses, lv.fills, lv.evictions,
+              lv.dirty_evictions) for lv in levels])
 
 
 class TestSweepQueries:

@@ -1,5 +1,7 @@
 """Hash sharding and mergeable-aggregate unit tests."""
 
+import math
+
 import pytest
 
 from repro.db.exprs import Col
@@ -82,6 +84,15 @@ class TestMergePartials:
     def test_merge_requires_a_partial(self):
         with pytest.raises(PlanError):
             merge_partials(self.AGGS, [])
+
+    def test_merge_sums_partials_left_to_right(self):
+        # A compensated sum (3.12's builtin) gives 1.0 here; the plain
+        # left fold every Python version computes gives 0.0.
+        sums = [1e16, 1.0, -1e16]
+        assert math.fsum(sums) == 1.0
+        partials = [(1, s, s, s) for s in sums]
+        merged = merge_partials(self.AGGS, partials)
+        assert merged == (3, 0.0, -1e16, 1e16)
 
     def test_merge_matches_unsharded_aggregate(self):
         values = [row[2] for row in ROWS]

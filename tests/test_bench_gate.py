@@ -254,6 +254,38 @@ class TestServeMemoryGate:
         assert any("serve_memory: section missing" in f for f in failures)
 
 
+class TestRunShareGate:
+    @staticmethod
+    def _with_regimes(l1=9_944, straggler=56, generic=0):
+        report = _cli_report()
+        report["row_load_run"]["load_run_regimes"] = {
+            "run_l1_calls": l1, "run_straggler_calls": straggler,
+            "run_generic_calls": generic}
+        return report
+
+    def test_identical_reports_pass(self):
+        base = self._with_regimes()
+        assert check_regression(copy.deepcopy(base), base) == []
+
+    def test_l1_share_collapse_fails_by_name(self):
+        current = self._with_regimes(l1=56, generic=9_944)
+        failures = check_regression(current, self._with_regimes())
+        assert any("row_load_run" in f and "run_l1_calls" in f
+                   and "share gate" in f for f in failures)
+
+    def test_share_just_under_99pct_fails(self):
+        current = self._with_regimes(l1=9_899, straggler=101)
+        assert check_regression(current, self._with_regimes()) != []
+
+    def test_optional_on_both_sides(self):
+        assert check_regression(self._with_regimes(), _cli_report()) == []
+        assert check_regression(_cli_report(), _cli_report()) == []
+
+    def test_missing_regimes_fail_when_baseline_has_them(self):
+        failures = check_regression(_cli_report(), self._with_regimes())
+        assert any("load_run_regimes missing" in f for f in failures)
+
+
 class TestBenchCli:
     def test_check_gates_against_pre_run_baseline(self, tmp_path,
                                                   monkeypatch):
