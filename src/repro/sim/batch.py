@@ -32,15 +32,11 @@ B-tree, SSTable and bloom descents) take the generic walk in one call
 (see :meth:`BatchExecutor.load_chain`).
 
 The batched path is **bit-identical** to the reference path: it performs
-the same set/LRU mutations in the same order and applies the same cycle
-and stall additions in the same order, so PMU counters, cache state,
-energy, and wall-clock agree exactly (see
-``tests/sim/test_batch_equivalence.py``).  The only accounting shortcut
-it takes — folding a run of guaranteed L1D hits into one bulk update —
-adds the same dyadic issue widths the reference path adds one at a
-time; for issue widths that are multiples of 0.25 cycles (both machine
-presets) those additions are exact in IEEE-754 doubles at any realistic
-cycle count, so even the floating-point results are identical.
+the same set/LRU mutations in the same order, so PMU counters, cache
+state, energy, and wall-clock agree exactly (see
+``tests/sim/test_batch_equivalence.py``).  Cycle charges are integer
+PMU ticks, so a bulk charge equals the reference path's one-at-a-time
+adds by construction.
 
 Executors are swapped via ``Machine.set_exec_mode("reference" |
 "batched")``; the run-level entry points (``load_run``, ``load_list``,
@@ -60,6 +56,7 @@ from typing import Iterable, Optional, Sequence
 from repro.sim.address_space import LINE_SHIFT, LINE_SIZE
 from repro.sim.cpu import Cpu
 from repro.sim.hierarchy import LEVEL_L1D, LEVEL_L2, LEVEL_L3, LEVEL_MEM
+from repro.sim.pmu import TICKS_PER_CYCLE
 
 EXEC_MODES = ("reference", "batched")
 
@@ -70,22 +67,10 @@ _LEVEL_STATS = ("hits", "misses", "fills", "evictions", "dirty_evictions",
 _PF_STATS = ("n_trained", "n_pf_l2_issued", "n_pf_l3_issued")
 
 
-#: Probe-chain compute op -> its ``TimingConfig`` issue width; its PMU
-#: counter is ``n_<op>``.
-_OP_WIDTH = {"add": "alu_issue", "mul": "mul_issue", "cmp": "cmp_issue",
-             "branch": "branch_issue"}
-
-
-def _on_grid(cycles: float, stall: float, *prices: float) -> bool:
-    """True when bulk cycle accounting may reassociate float adds.
-
-    That is bit-exact only while every operand (and so every
-    intermediate sum) is a multiple of 2**-8 small enough that no sum
-    ever rounds: multiples of 2**-8 below 2**44 need at most 52
-    significand bits, and accumulators below 2**43 leave headroom for
-    the bulk add itself."""
-    return (cycles < 2.0 ** 43 and stall < 2.0 ** 43
-            and all((x * 256.0).is_integer() for x in (cycles, stall, *prices)))
+#: Probe-chain compute op -> its issue width in ticks, a ``Cpu``
+#: attribute; its PMU counter is ``n_<op>``.
+_OP_WIDTH = {"add": "_alu_issue", "mul": "_mul_issue", "cmp": "_cmp_issue",
+             "branch": "_branch_issue"}
 
 
 def _list_snapshot(sets, pf) -> tuple:
@@ -222,9 +207,6 @@ class BatchExecutor:
         self.ring_folded_loads = 0
         self.ring_generic_loads = 0
         self.ring_verify_failed: dict = {}
-        #: ``(latencies, exposed, dearest probe, on grid)``: the walks'
-        #: load prices per LEVEL_* (see :meth:`_reprice`).
-        self._prices = ([], None, 0.0, False)
         # The hierarchy's geometry, bound once: the levels, their set
         # lists (``flush`` clears sets in place), masks and ways, the
         # dirty-victim fill methods and the prefetcher are never
@@ -238,8 +220,8 @@ class BatchExecutor:
                      else (lvl, lvl._sets, lvl._set_mask, lvl.assoc))
         self._geom = (*geom, hier._fill_l2, hier._fill_l3,
                       hier.prefetcher, hier.prefetcher.observe)
-        #: ``(pre, post)`` op names -> ``(pre, between, post)`` prices and
-        #: the counter names to bump per probe.  See :meth:`load_chain`.
+        #: ``(pre, post)`` op names -> the compute ticks and the counter
+        #: names to bump per probe.  See :meth:`load_chain`.
         self._chain_ops: dict = {}
         #: Probe-chain regime counters, host-side only like ``ring_*``:
         #: :meth:`load_chain` calls and the loads they charged.
@@ -270,15 +252,14 @@ class BatchExecutor:
             # since.  Replaying it re-orders each set into the ascending
             # order the previous scan already left it in — a no-op on
             # cache state — so the whole scan folds into one bulk hit
-            # update.  (All-hit loads add only `issue` cycles, which is
-            # dyadic, so the bulk add is bit-identical to n single adds.)
+            # update.
             c = cpu.counters
             n = n_lines * loads_per_line
             hier.l1d.hits += n_lines
             c.n_load_inst += n
             c.n_l1d += n
             c.l1d_hits += n
-            c.cycles += n * cpu.timing.load_issue
+            c.cycle_ticks += n * cpu._load_issue
             self.scan_replays += 1
             return
         hier.mut_epoch += 1
@@ -295,7 +276,7 @@ class BatchExecutor:
             c.n_load_inst += bulk
             c.n_l1d += bulk
             c.l1d_hits += bulk
-            c.cycles += bulk * cpu.timing.load_issue
+            c.cycle_ticks += bulk * cpu._load_issue
 
     def _words(self, addr: int, nbytes: int) -> Optional[tuple]:
         """Bump the epoch and split an ``nbytes`` access at ``addr`` into
@@ -334,7 +315,7 @@ class BatchExecutor:
             c.n_load_inst += bulk
             c.n_l1d += bulk
             c.l1d_hits += bulk
-            c.cycles += bulk * cpu.timing.load_issue
+            c.cycle_ticks += bulk * cpu._load_issue
 
     def store_bytes(self, addr: int, nbytes: int) -> None:
         words = self._words(addr, nbytes)
@@ -349,7 +330,7 @@ class BatchExecutor:
             c.n_store_inst += bulk
             c.n_store += bulk
             c.n_store_l1d_hit += bulk
-            c.cycles += bulk * cpu.timing.store_issue
+            c.cycle_ticks += bulk * cpu._store_issue
 
     def load_run(self, base: int, offsets: Sequence[int], dependent: bool = False) -> None:
         if not offsets:
@@ -402,7 +383,7 @@ class BatchExecutor:
         s1 = l1._sets
         m1 = l1._set_mask
         c = cpu.counters
-        issue = cpu.timing.load_issue
+        issue = cpu._load_issue
         hits = 0
         rest = None
         for off in firsts:
@@ -426,13 +407,11 @@ class BatchExecutor:
                 # The run's first word hit; it alone carries the
                 # dependent-load latency.
                 lat_l1 = cpu._latency[LEVEL_L1D]
-                c.cycles += lat_l1
-                c.stall_cycles += lat_l1 - 1.0
-                if hits > 1:
-                    c.cycles += (hits - 1) * issue
+                c.cycle_ticks += lat_l1 + (hits - 1) * issue
+                c.stall_ticks += lat_l1 - TICKS_PER_CYCLE
                 dependent = False
             else:
-                c.cycles += hits * issue
+                c.cycle_ticks += hits * issue
         if rest is None:
             self.run_l1_calls += 1
         elif len(rest) == 1:
@@ -450,7 +429,7 @@ class BatchExecutor:
             c.n_l1d += bulk
             c.l1d_hits += bulk
             c.n_load_inst += bulk
-            c.cycles += bulk * issue
+            c.cycle_ticks += bulk * issue
 
     def load_list(self, addrs: Iterable[int], dependent: bool = False) -> None:
         # Verified fixed-point round replay: pointer-chase benchmarks
@@ -469,7 +448,13 @@ class BatchExecutor:
                   and all(map(eq, memo[0], addrs)))
         if repeat:
             key, delta = memo[0], memo[4]
-            if delta is not None and self._list_replay(delta):
+            if delta is not None:
+                pmu, moved = delta
+                cd = self.cpu.counters.__dict__
+                for name, v in pmu:
+                    cd[name] += v
+                for obj, name, v in moved:
+                    setattr(obj, name, getattr(obj, name) + v)
                 hier.mut_epoch += 1
                 self._list_memo = (key, dependent, hier.mut_epoch, fp, delta)
                 self.list_replays += 1
@@ -493,9 +478,9 @@ class BatchExecutor:
         cpu = self.cpu
         pf = cpu.hierarchy.prefetcher
         tcm = cpu.hierarchy.tcm_region
-        return (tuple(cpu._latency), cpu.timing.load_issue, cpu.timing.mlp,
-                pf.enabled, pf.n_streams, pf.train_threshold, pf.degree,
-                pf.l3_extra, None if tcm is None else (tcm.base, tcm.size))
+        return (tuple(cpu._latency), pf.enabled, pf.n_streams,
+                pf.train_threshold, pf.degree, pf.l3_extra,
+                None if tcm is None else (tcm.base, tcm.size))
 
     def _list_round(self, addrs, dependent: bool,
                     repeat: bool) -> Optional[tuple]:
@@ -516,11 +501,8 @@ class BatchExecutor:
         hier = cpu.hierarchy
         c = cpu.counters
         pf = hier.prefetcher
-        issue = cpu.timing.load_issue
-        exact = _on_grid(c.cycles, c.stall_cycles, issue, *cpu._latency,
-                         *(x / cpu.timing.mlp - issue for x in cpu._latency))
         levels = [lv for lv in (hier.l1d, hier.l2, hier.l3) if lv is not None]
-        if exact and repeat:
+        if repeat:
             touched = [lv._sets[i] for lv in levels
                        for i in {(a >> LINE_SHIFT) & lv._set_mask
                                  for a in addrs}]
@@ -533,9 +515,7 @@ class BatchExecutor:
         hier.mut_epoch += 1
         self._load_addrs(addrs, dependent)
         d = c.minus(c0)
-        if not (exact and _on_grid(c.cycles, c.stall_cycles)):
-            reason = "inexact"
-        elif d.n_l1d == d.l1d_hits:
+        if d.n_l1d == d.l1d_hits:
             reason = None
         elif not repeat:
             return None
@@ -546,30 +526,13 @@ class BatchExecutor:
         else:
             reason = "state" if _list_snapshot(touched, pf) != snap else None
         if reason is not None:
-            if repeat:
-                failed = self.list_verify_failed
-                failed[reason] = failed.get(reason, 0) + 1
+            failed = self.list_verify_failed
+            failed[reason] = failed.get(reason, 0) + 1
             return None
         moved = [(obj, name, getattr(obj, name) - v0)
                  for (obj, name), v0 in zip(stats, stats0)
                  if getattr(obj, name) != v0]
-        return (d.cycles, d.stall_cycles,
-                tuple(d.as_dict(skip_zero=True).items()), moved)
-
-    def _list_replay(self, delta) -> bool:
-        """Apply a verified round delta, unless the cycle accumulators
-        have left the exact range (then apply nothing)."""
-        d_cyc, d_stall, pmu, moved = delta
-        c = self.cpu.counters
-        if not _on_grid(c.cycles + d_cyc, c.stall_cycles + d_stall,
-                        c.cycles, c.stall_cycles):
-            return False
-        cd = c.__dict__
-        for name, v in pmu:
-            cd[name] += v
-        for obj, name, v in moved:
-            setattr(obj, name, getattr(obj, name) + v)
-        return True
+        return tuple(kv for kv in d.__dict__.items() if kv[1]), moved
 
     def load_one(self, addr: int, dependent: bool = False) -> int:
         """One load instruction, flattened to a single frame.
@@ -599,10 +562,10 @@ class BatchExecutor:
                 c.n_load_inst += 1
                 if dependent:
                     lat_l1 = cpu._latency[LEVEL_L1D]
-                    c.cycles += lat_l1
-                    c.stall_cycles += lat_l1 - 1.0
+                    c.cycle_ticks += lat_l1
+                    c.stall_ticks += lat_l1 - TICKS_PER_CYCLE
                 else:
-                    c.cycles += cpu.timing.load_issue
+                    c.cycle_ticks += cpu._load_issue
                 self.one_l1_loads += 1
                 return LEVEL_L1D
             # L1D miss, L2 hit: the dominant miss shape for the per-op
@@ -637,17 +600,14 @@ class BatchExecutor:
                     l1.fills += 1
                     hier._run_prefetcher(line)
                     c.n_load_inst += 1
-                    lat = cpu._latency[LEVEL_L2]
                     if dependent:
-                        c.cycles += lat
-                        c.stall_cycles += lat - 1.0
+                        lat = cpu._latency[LEVEL_L2]
+                        c.cycle_ticks += lat
+                        c.stall_ticks += lat - TICKS_PER_CYCLE
                     else:
-                        issue = cpu.timing.load_issue
-                        c.cycles += issue
-                        exposed = lat / cpu.timing.mlp - issue
-                        if exposed > 0.0:
-                            c.cycles += exposed
-                            c.stall_cycles += exposed
+                        exposed = cpu._exposed[LEVEL_L2]
+                        c.cycle_ticks += cpu._load_issue + exposed
+                        c.stall_ticks += exposed
                     self.one_l2_loads += 1
                     return LEVEL_L2
         # TCM window or deep miss: the per-op model path (those misses
@@ -664,27 +624,25 @@ class BatchExecutor:
         B-tree, SSTable and bloom probes, whose next address depends
         only on Python-side comparisons that charge nothing, so callers
         compute the whole path first and charge it here in one walk.
-        The compute ops' cycles go into :meth:`_load_addrs`' loop one
-        op at a time, in reference order, never as a pre-summed price,
-        so the float sums match the per-op path by construction; their
-        instruction counts are integers and are bulk-added.
+        The compute ops' ticks and instruction counts are bulk-added
+        after the walk.
         """
         if not addrs:
             return
         key = (pre, post)
         ops = self._chain_ops.get(key)
-        if ops is None:
-            timing = self.cpu.timing
-            before = tuple(getattr(timing, _OP_WIDTH[op]) for op in pre)
-            after = tuple(getattr(timing, _OP_WIDTH[op]) for op in post)
-            ops = self._chain_ops[key] = (before, after + before, after,
-                                          ["n_" + op for op in (*pre, *post)])
         cpu = self.cpu
+        if ops is None:
+            names = (*pre, *post)
+            ops = self._chain_ops[key] = (
+                sum(getattr(cpu, _OP_WIDTH[op]) for op in names),
+                ["n_" + op for op in names])
         cpu.hierarchy.mut_epoch += 1
-        self._load_addrs(addrs, True, False, ops)
+        self._load_addrs(addrs, True)
         n = len(addrs)
         counters = cpu.counters.__dict__
-        for name in ops[3]:
+        counters["cycle_ticks"] += n * ops[0]
+        for name in ops[1]:
             counters[name] += n
         self.chain_walks += 1
         self.chain_loads += n
@@ -711,7 +669,7 @@ class BatchExecutor:
                 c.n_store += 1
                 c.n_store_l1d_hit += 1
                 c.n_store_inst += 1
-                c.cycles += cpu.timing.store_issue
+                c.cycle_ticks += cpu._store_issue
                 self.store_l1_stores += 1
                 return
         self.store_generic_stores += 1
@@ -768,11 +726,6 @@ class BatchExecutor:
         memoised with the cycle, and the remaining full rotations after
         the first fold into one bulk hit update.  The cursor is
         unchanged: ``period * stride`` is a multiple of ``n_lines``.
-
-        Runs and folds charge cycles in bulk, so the whole call must
-        pass the dyadic rule of :func:`_on_grid`: every price, and both
-        accumulators even after ``count`` probes at the dearest price.
-        Otherwise every segment takes the generic walk, unfolded.
         """
         cpu = self.cpu
         c = cpu.counters
@@ -807,44 +760,29 @@ class BatchExecutor:
             self._ring_memo[key] = memo
         cycle, inv, fits = memo
         idx = inv[cursor]
-        issue = cpu.timing.load_issue
-        prices = self._prices
-        if prices[0] != cpu._latency:
-            prices = self._reprice()
-        _, exposed, dearest, exact = prices
-        if exact:
-            cyc = c.cycles
-            stall = c.stall_cycles
-            dearest *= count
-            exact = (cyc + dearest < 2.0 ** 43 and stall + dearest < 2.0 ** 43
-                     and (cyc * 256.0).is_integer()
-                     and (stall * 256.0).is_integer())
         step1 = stride % n_lines == 1
         done = 0
         while done < count:
             chunk = min(period, count - done)
             first = (idx + 1) % period
             seg = cycle[first:first + chunk]
-            if exact:
-                self._ring_walk(seg, inv, base_line, n_lines, first,
-                                period, step1, exposed)
-            else:
-                self._ring_generic(seg, 0, "inexact")
+            self._ring_walk(seg, inv, base_line, n_lines, first, period,
+                            step1)
             done += chunk
             idx = (first + chunk - 1) % period
-            if fits and exact and chunk == period and count - done >= period:
+            if fits and chunk == period and count - done >= period:
                 n = (count - done) // period * period
                 l1.hits += n
                 c.n_l1d += n
                 c.l1d_hits += n
                 c.n_load_inst += n
-                c.cycles += n * issue
+                c.cycle_ticks += n * cpu._load_issue
                 done += n
                 self.ring_folded_loads += n
         return cycle[idx][0] - base_line
 
     def _ring_walk(self, seg, inv, base_line: int, n_lines: int, first: int,
-                   period: int, step1: bool, exposed) -> None:
+                   period: int, step1: bool) -> None:
         """Demand loads for one ring rotation segment.
 
         A segment is served in runs of misses, each at one level — L2
@@ -856,9 +794,8 @@ class BatchExecutor:
         fills and evictions; dirty victims still write back through the
         hierarchy's own ``_fill_l2``/``_fill_l3``, so the cascade logic
         stays in one place.  Its counters are derived once (fills =
-        misses, evictions = probes − underfull inserts), and its cycle
-        and stall charges are bulk adds, exact under the caller's
-        dyadic check.
+        misses, evictions = probes − underfull inserts), and so are its
+        cycle and stall charges.
 
         What a miss run must prove is the prefetcher's response.  With
         ``train_threshold == 2`` and no idle slot, a miss that no
@@ -893,7 +830,8 @@ class BatchExecutor:
         pf_on = pf.enabled and pf.n_streams > 0
         last = pf._last
         run = pf._run
-        issue = cpu.timing.load_issue
+        issue = cpu._load_issue
+        exposed = cpu._exposed
         verified = self.ring_verified_loads
         n = len(seg)
         pos = slot = 0
@@ -982,8 +920,8 @@ class BatchExecutor:
                 set1[line] = False
                 j += 1
             e = exposed[LEVEL_L2 if hit2 else LEVEL_L3 if hit3 else LEVEL_MEM]
-            c.cycles += j * issue + j * e
-            c.stall_cycles += j * e
+            c.cycle_ticks += j * (issue + e)
+            c.stall_ticks += j * e
             c.n_load_inst += j
             c.n_l1d += j
             c.n_l2 += j
@@ -1040,7 +978,7 @@ class BatchExecutor:
         if tcm is not None and tcm.base <= addr < tcm.end:
             c.n_tcm_store += n
             c.n_store_inst += n
-            c.cycles += n * cpu.timing.store_issue
+            c.cycle_ticks += n * cpu._store_issue
             return
         self._store_addrs((addr,))
         if n > 1:
@@ -1051,34 +989,17 @@ class BatchExecutor:
             c.n_store += bulk
             c.n_store_l1d_hit += bulk
             c.n_store_inst += bulk
-            c.cycles += bulk * cpu.timing.store_issue
+            c.cycle_ticks += bulk * cpu._store_issue
 
     # ------------------------------------------------------------ workhorses
 
-    def _reprice(self) -> tuple:
-        """Recompute :attr:`_prices` after a P-state change: a copy of
-        the latencies, the exposed latency of an independent miss per
-        LEVEL_* (the reference path's expression, clamped at 0 where it
-        skips the add), the dearest independent probe, and whether
-        those prices are on the dyadic grid of :func:`_on_grid`."""
-        cpu = self.cpu
-        issue = cpu.timing.load_issue
-        exposed = [max(0.0, x / cpu.timing.mlp - issue) for x in cpu._latency]
-        self._prices = (cpu._latency[:], exposed, issue + max(exposed),
-                        _on_grid(0.0, 0.0, issue, *exposed[LEVEL_L2:]))
-        return self._prices
-
     def _load_addrs(self, addrs: Iterable[int], dependent: bool = False,
-                    first_only: bool = False, ops=None) -> int:
+                    first_only: bool = False) -> int:
         """Demand loads for every address in ``addrs``, inlined.
 
         ``dependent`` applies to all loads, or — with ``first_only`` —
-        to just the first one (the ``load_run`` contract).  ``ops`` is a
-        probe chain's ``(pre, between, post)`` compute prices (see
-        :meth:`load_chain`): ``pre`` before the first load, ``between``
-        (post, then pre) between two loads, ``post`` after the last,
-        each added on its own, in reference order.  Returns the number
-        of "impure" accesses (L1D misses + TCM hits); a zero return
+        to just the first one (the ``load_run`` contract).  Returns the
+        number of "impure" accesses (L1D misses + TCM hits); a zero return
         means the run was pure L1D hits, which is what the
         ``scan_lines`` replay memo needs to know.
         """
@@ -1096,12 +1017,10 @@ class BatchExecutor:
         # A disabled prefetcher's observe() returns empty ranges and
         # touches no state, so skipping the call is exact.
         pf_on = pf.enabled and pf.n_streams > 0
-        prices = self._prices
-        if prices[0] != cpu._latency:
-            prices = self._reprice()
-        lat_tcm, lat_l1, lat_l2, lat_l3, lat_mem = prices[0]
-        _, _, exp_l2, exp_l3, exp_mem = prices[1]
-        issue = cpu.timing.load_issue
+        lat_tcm, lat_l1, lat_l2, lat_l3, lat_mem = cpu._latency
+        _, _, exp_l2, exp_l3, exp_mem = cpu._exposed
+        issue = cpu._load_issue
+        one = TICKS_PER_CYCLE
 
         # Per-level accesses and hits follow from the per-level stats
         # (an L1D miss is an L2 access, and so on down), so the loop
@@ -1114,22 +1033,17 @@ class BatchExecutor:
         h1 = mis1 = f1 = ev1 = dev1 = occ1 = 0
         h2 = mis2 = f2 = ev2 = dev2 = occ2 = 0
         h3 = mis3 = f3 = ev3 = dev3 = occ3 = 0
-        cyc = c.cycles
-        stall = c.stall_cycles
+        cyc = c.cycle_ticks
+        stall = c.stall_ticks
         dep = dependent
-        gap = None if ops is None else ops[0]
 
         for addr in addrs:
-            if gap is not None:
-                for p in gap:
-                    cyc += p
-                gap = ops[1]
             n_inst += 1
             if tbase <= addr < tend:
                 n_tcm += 1
                 if dep:
                     cyc += lat_tcm
-                    stall += lat_tcm - 1.0
+                    stall += lat_tcm - one
                     if first_only:
                         dep = False
                 else:
@@ -1142,7 +1056,7 @@ class BatchExecutor:
                 h1 += 1
                 if dep:
                     cyc += lat_l1
-                    stall += lat_l1 - 1.0
+                    stall += lat_l1 - one
                     if first_only:
                         dep = False
                 else:
@@ -1265,20 +1179,15 @@ class BatchExecutor:
                         pset[pline] = False
             if dep:
                 cyc += lvl_lat
-                stall += lvl_lat - 1.0
+                stall += lvl_lat - one
                 if first_only:
                     dep = False
             else:
-                cyc += issue
-                if exp > 0.0:
-                    cyc += exp
-                    stall += exp
-        if gap is not None and n_inst:
-            for p in ops[2]:
-                cyc += p
+                cyc += issue + exp
+                stall += exp
 
-        c.cycles = cyc
-        c.stall_cycles = stall
+        c.cycle_ticks = cyc
+        c.stall_ticks = stall
         c.n_load_inst += n_inst
         c.n_l1d += h1 + mis1
         c.l1d_hits += h1
@@ -1412,7 +1321,7 @@ class BatchExecutor:
                 occ1 += 1
             set1[line] = True
 
-        c.cycles += n_inst * cpu.timing.store_issue
+        c.cycle_ticks += n_inst * cpu._store_issue
         c.n_store_inst += n_inst
         c.n_store += n_store
         c.n_store_l1d_hit += n_store_hit

@@ -18,7 +18,9 @@ DRAM misses still exposes ``latency / mlp`` cycles each.  In-order cores
 (the ARM1176 preset) use ``mlp = 1``: a miss stalls regardless.
 
 The CPU mutates the shared PMU counter block; energy is priced later from
-those counters (see :mod:`repro.sim.energy`).
+those counters (see :mod:`repro.sim.energy`).  Cycle prices are charged
+as whole PMU ticks (:data:`~repro.sim.pmu.TICKS_PER_CYCLE`), converted
+once per frequency, so any price off the tick grid is a ConfigError.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ from repro.errors import ConfigError
 from repro.sim.address_space import LINE_SHIFT, LINE_SIZE
 from repro.sim.hierarchy import (
     LEVEL_L1D,
-    LEVEL_L2,
-    LEVEL_L3,
-    LEVEL_MEM,
+    LEVEL_NAMES,
     LEVEL_TCM,
     MemoryHierarchy,
 )
-from repro.sim.pmu import PmuCounters
+from repro.sim.pmu import TICKS_PER_CYCLE, PmuCounters, cycle_ticks
+
+
+#: The issue-width fields of :class:`TimingConfig`.
+ISSUE_WIDTHS = ("load_issue", "store_issue", "alu_issue", "nop_issue",
+                "mul_issue", "cmp_issue", "branch_issue", "other_issue")
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,9 @@ class TimingConfig:
     Latencies are load-to-use, in core cycles, except DRAM which is in
     nanoseconds (DRAM latency is fixed in wall-clock time, so its cycle
     cost *grows* with frequency — the effect behind Table 5's stall
-    behaviour).
+    behaviour).  Every price must be a whole number of PMU ticks; the
+    DRAM latency depends on the frequency, so ``Machine`` checks it at
+    every P-state of its table.
     """
 
     lat_l1: int = 4
@@ -68,6 +75,28 @@ class TimingConfig:
             raise ConfigError("mlp must be >= 1")
         if min(self.lat_l1, self.lat_l2, self.lat_l3, self.lat_tcm) < 1:
             raise ConfigError("latencies must be >= 1 cycle")
+        # At 0 GHz DRAM costs what L3 does: every other price is checked.
+        self.ticks(0.0)
+        for name in ISSUE_WIDTHS:
+            cycle_ticks(getattr(self, name), name)
+
+    def ticks(self, freq_ghz: float) -> tuple[list, list]:
+        """``(latency, exposed)`` per LEVEL_* in PMU ticks at ``freq_ghz``:
+        the load-to-use latency, and what an independent load served at
+        that level adds past its issue slot (``latency / mlp -
+        load_issue`` below L1D, never negative)."""
+        # In LEVEL_* order: TCM, L1D, L2, L3, MEM.
+        cycles = (self.lat_tcm, self.lat_l1, self.lat_l2, self.lat_l3,
+                  self.lat_l3 + self.dram_lat_ns * freq_ghz)
+        latency = [0] * 5
+        exposed = [0] * 5
+        for level, x in enumerate(cycles):
+            what = f"{LEVEL_NAMES[level]} latency at {freq_ghz} GHz"
+            latency[level] = cycle_ticks(x, what)
+            x = x / self.mlp - self.load_issue
+            if level > LEVEL_L1D and x > 0:
+                exposed[level] = cycle_ticks(x, "exposed " + what)
+        return latency, exposed
 
 
 class Cpu:
@@ -78,27 +107,28 @@ class Cpu:
         timing: TimingConfig,
         hierarchy: MemoryHierarchy,
         counters: PmuCounters,
+        freq_ghz: float,
     ):
         self.timing = timing
         self.hierarchy = hierarchy
         self.counters = counters
-        self._latency = [0.0] * 5  # indexed by LEVEL_* constants
-        self.set_frequency(1.0)
+        self.set_frequency(freq_ghz)
 
     def set_counters(self, counters: PmuCounters) -> None:
         self.counters = counters
 
     def set_frequency(self, freq_ghz: float) -> None:
-        """Recompute per-level latencies for a new core frequency."""
+        """Recompute the tick prices for a new core frequency: per-level
+        latency, the exposed latency of an independent load per level
+        (see :meth:`TimingConfig.ticks`), and the issue widths, as
+        ``_<width>`` attributes."""
         if freq_ghz <= 0:
             raise ConfigError("frequency must be positive")
-        self.freq_ghz = freq_ghz
         t = self.timing
-        self._latency[LEVEL_TCM] = float(t.lat_tcm)
-        self._latency[LEVEL_L1D] = float(t.lat_l1)
-        self._latency[LEVEL_L2] = float(t.lat_l2)
-        self._latency[LEVEL_L3] = float(t.lat_l3)
-        self._latency[LEVEL_MEM] = t.lat_l3 + t.dram_lat_ns * freq_ghz
+        self._latency, self._exposed = t.ticks(freq_ghz)
+        for name in ISSUE_WIDTHS:
+            setattr(self, "_" + name, cycle_ticks(getattr(t, name), name))
+        self.freq_ghz = freq_ghz
 
     # ------------------------------------------------------------ loads/stores
 
@@ -107,18 +137,14 @@ class Cpu:
         level = self.hierarchy.load(addr)
         c = self.counters
         c.n_load_inst += 1
-        latency = self._latency[level]
         if dependent:
-            c.cycles += latency
-            c.stall_cycles += latency - 1.0
+            latency = self._latency[level]
+            c.cycle_ticks += latency
+            c.stall_ticks += latency - TICKS_PER_CYCLE
         else:
-            issue = self.timing.load_issue
-            c.cycles += issue
-            if level > LEVEL_L1D:
-                exposed = latency / self.timing.mlp - issue
-                if exposed > 0.0:
-                    c.cycles += exposed
-                    c.stall_cycles += exposed
+            exposed = self._exposed[level]
+            c.cycle_ticks += self._load_issue + exposed
+            c.stall_ticks += exposed
         return level
 
     def load_bytes(self, addr: int, nbytes: int, dependent: bool = False) -> None:
@@ -142,11 +168,10 @@ class Cpu:
                 c.n_load_inst += n_words
                 if dependent:
                     latency = self._latency[LEVEL_TCM]
-                    c.cycles += latency
-                    c.stall_cycles += latency - 1.0
-                    c.cycles += (n_words - 1) * self.timing.load_issue
+                    c.cycle_ticks += latency + (n_words - 1) * self._load_issue
+                    c.stall_ticks += latency - TICKS_PER_CYCLE
                 else:
-                    c.cycles += n_words * self.timing.load_issue
+                    c.cycle_ticks += n_words * self._load_issue
                 return
             # Run straddles the TCM boundary: rare — take the exact
             # per-word path.
@@ -168,7 +193,7 @@ class Cpu:
             c.n_load_inst += bulk
             c.n_l1d += bulk
             c.l1d_hits += bulk
-            c.cycles += bulk * self.timing.load_issue
+            c.cycle_ticks += bulk * self._load_issue
 
     def scan_lines(self, base_addr: int, n_lines: int, loads_per_line: int = 1) -> None:
         """Sequentially read ``n_lines`` cache lines starting at ``base_addr``.
@@ -182,7 +207,6 @@ class Cpu:
             return
         extra = loads_per_line - 1
         c = self.counters
-        t_issue = self.timing.load_issue
         for i in range(n_lines):
             self.load(base_addr + i * LINE_SIZE)
         if extra > 0:
@@ -190,7 +214,7 @@ class Cpu:
             c.n_load_inst += bulk
             c.n_l1d += bulk
             c.l1d_hits += bulk
-            c.cycles += bulk * t_issue
+            c.cycle_ticks += bulk * self._load_issue
 
     def hot_loads(self, addr: int, n: int) -> None:
         """``n`` loads against a known-hot working set at ``addr``.
@@ -212,12 +236,12 @@ class Cpu:
         if self.hierarchy.in_tcm(addr):
             c.n_tcm_load += n
             c.n_load_inst += n
-            c.cycles += n * self.timing.load_issue
+            c.cycle_ticks += n * self._load_issue
             return
         c.n_load_inst += n
         c.n_l1d += n
         c.l1d_hits += n
-        c.cycles += n * self.timing.load_issue
+        c.cycle_ticks += n * self._load_issue
 
     def hot_stores(self, addr: int, n: int) -> None:
         """``n`` stores against a known-hot working set (see hot_loads)."""
@@ -227,19 +251,19 @@ class Cpu:
         if self.hierarchy.in_tcm(addr):
             c.n_tcm_store += n
             c.n_store_inst += n
-            c.cycles += n * self.timing.store_issue
+            c.cycle_ticks += n * self._store_issue
             return
         c.n_store_inst += n
         c.n_store += n
         c.n_store_l1d_hit += n
-        c.cycles += n * self.timing.store_issue
+        c.cycle_ticks += n * self._store_issue
 
     def store(self, addr: int) -> None:
         """One store instruction (write-back, 1-cycle via store buffer)."""
         self.hierarchy.store(addr)
         c = self.counters
         c.n_store_inst += 1
-        c.cycles += self.timing.store_issue
+        c.cycle_ticks += self._store_issue
 
     def store_bytes(self, addr: int, nbytes: int) -> None:
         """A multi-word write; same bulk trailing-word treatment as
@@ -254,7 +278,7 @@ class Cpu:
                 c = self.counters
                 c.n_tcm_store += n_words
                 c.n_store_inst += n_words
-                c.cycles += n_words * self.timing.store_issue
+                c.cycle_ticks += n_words * self._store_issue
                 return
             for i in range(n_words):
                 self.store(addr + 8 * i)
@@ -273,30 +297,30 @@ class Cpu:
             c.n_store_inst += bulk
             c.n_store += bulk
             c.n_store_l1d_hit += bulk
-            c.cycles += bulk * self.timing.store_issue
+            c.cycle_ticks += bulk * self._store_issue
 
     # ------------------------------------------------------------ compute ops
 
     def add(self, n: int = 1) -> None:
         self.counters.n_add += n
-        self.counters.cycles += n * self.timing.alu_issue
+        self.counters.cycle_ticks += n * self._alu_issue
 
     def nop(self, n: int = 1) -> None:
         self.counters.n_nop += n
-        self.counters.cycles += n * self.timing.nop_issue
+        self.counters.cycle_ticks += n * self._nop_issue
 
     def mul(self, n: int = 1) -> None:
         self.counters.n_mul += n
-        self.counters.cycles += n * self.timing.mul_issue
+        self.counters.cycle_ticks += n * self._mul_issue
 
     def cmp(self, n: int = 1) -> None:
         self.counters.n_cmp += n
-        self.counters.cycles += n * self.timing.cmp_issue
+        self.counters.cycle_ticks += n * self._cmp_issue
 
     def branch(self, n: int = 1) -> None:
         self.counters.n_branch += n
-        self.counters.cycles += n * self.timing.branch_issue
+        self.counters.cycle_ticks += n * self._branch_issue
 
     def other(self, n: int = 1) -> None:
         self.counters.n_other += n
-        self.counters.cycles += n * self.timing.other_issue
+        self.counters.cycle_ticks += n * self._other_issue

@@ -14,7 +14,8 @@ Energy settling: PMU counters are priced lazily.  Whenever the P-state
 changes, the machine idles, or a measurement is read, :meth:`settle`
 prices the counter delta since the previous settle at the P-state that
 was active in between and advances the wall clock by
-``delta_cycles / frequency``.
+``delta_cycles / frequency``.  This is where integer cycle ticks become
+float seconds and joules.
 """
 
 from __future__ import annotations
@@ -93,7 +94,15 @@ class Machine:
             counters=self.pmu.counters,
             tcm_region=tcm_region,
         )
-        self.cpu = Cpu(config.timing, self.hierarchy, self.pmu.counters)
+        initial = config.pstates.highest if pstate is None else pstate
+        self.pstate = config.pstates.validate(initial)
+        self._vf2 = config.pstates.vf2(self.pstate)
+        # Price DRAM at every P-state now: a latency off the tick grid
+        # fails here, never at a mid-run P-state switch.
+        for state in config.pstates.states():
+            config.timing.ticks(config.pstates.freq_ghz(state))
+        self.cpu = Cpu(config.timing, self.hierarchy, self.pmu.counters,
+                       config.pstates.freq_ghz(self.pstate))
 
         self.cstates_enabled = False
         self._eist: Optional[EistGovernor] = None
@@ -105,11 +114,6 @@ class Machine:
         self.busy_s = 0.0
         self.idle_s = 0.0
         self._settled = PmuCounters()
-
-        initial = config.pstates.highest if pstate is None else pstate
-        self.pstate = config.pstates.validate(initial)
-        self._vf2 = config.pstates.vf2(self.pstate)
-        self.cpu.set_frequency(config.pstates.freq_ghz(self.pstate))
 
         #: Observability: the active span tracer (a no-op by default so
         #: the micro-op path pays nothing) and the metrics registry fed
@@ -233,7 +237,7 @@ class Machine:
         if live.__dict__ == self._settled.__dict__:
             return
         delta = live.minus(self._settled)
-        if delta.cycles > 0 or delta.instructions > 0:
+        if delta.cycle_ticks > 0 or delta.instructions > 0:
             freq_hz = self.cpu.freq_ghz * 1e9
             busy = delta.cycles / freq_hz
             self.rapl.settle_active(delta, self._vf2)

@@ -21,6 +21,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.errors import ConfigError
+
+#: The cycle accumulators count ticks of ``1 / TICKS_PER_CYCLE`` cycle,
+#: as Python ints: every timing price is a whole number of ticks (see
+#: :func:`cycle_ticks`), so their sums are exact in any order.  This is
+#: the one place that knows the scale; readers see float cycles through
+#: :attr:`PmuCounters.cycles` and :attr:`PmuCounters.stall_cycles`.
+TICKS_PER_CYCLE = 256
+
+
+def cycle_ticks(cycles: float, what: str) -> int:
+    """A price of ``cycles`` cycles as a whole number of ticks.
+
+    Raises ConfigError when the price is off the tick grid, where it
+    has no exact tick count."""
+    ticks = cycles * TICKS_PER_CYCLE
+    if not float(ticks).is_integer():
+        raise ConfigError(f"{what} of {cycles!r} cycles is not a multiple "
+                          f"of 1/{TICKS_PER_CYCLE} cycle")
+    return int(ticks)
+
 
 #: Instruction classes tracked by the PMU.  "other" covers instructions the
 #: methodology does not model individually (address generation, moves, ...).
@@ -29,7 +50,7 @@ INSTRUCTION_CLASSES = ("load", "store", "add", "nop", "mul", "cmp", "branch", "o
 
 @dataclass
 class PmuCounters:
-    """A snapshot of every counter; plain integers/floats, cheap to copy."""
+    """A snapshot of every counter; plain integers, cheap to copy."""
 
     # Demand load accesses per level (hits + misses at that level).
     n_l1d: int = 0
@@ -51,9 +72,9 @@ class PmuCounters:
     n_tcm_store: int = 0
     # Write-backs of dirty lines out of a level.
     n_writeback: int = 0
-    # Timing.
-    cycles: float = 0.0
-    stall_cycles: float = 0.0
+    # Timing, in ticks (see TICKS_PER_CYCLE).
+    cycle_ticks: int = 0
+    stall_ticks: int = 0
     # Instruction counts per class.
     n_load_inst: int = 0
     n_store_inst: int = 0
@@ -67,6 +88,14 @@ class PmuCounters:
     # ------------------------------------------------------------ derived
 
     @property
+    def cycles(self) -> float:
+        return self.cycle_ticks / TICKS_PER_CYCLE
+
+    @property
+    def stall_cycles(self) -> float:
+        return self.stall_ticks / TICKS_PER_CYCLE
+
+    @property
     def instructions(self) -> int:
         return (
             self.n_load_inst + self.n_store_inst + self.n_add + self.n_nop
@@ -75,7 +104,7 @@ class PmuCounters:
 
     @property
     def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
+        return self.instructions / self.cycles if self.cycle_ticks else 0.0
 
     @property
     def l1d_miss_rate(self) -> float:
@@ -138,16 +167,19 @@ class PmuCounters:
         return snap
 
     def as_dict(self, skip_zero: bool = False) -> dict:
-        """Plain-dict rendering (for JSON trace export)."""
+        """Plain-dict rendering (for JSON trace export), with the tick
+        fields rendered as float ``cycles`` and ``stall_cycles``."""
         sd = self.__dict__
-        if skip_zero:
-            return {name: sd[name] for name in _FIELD_NAMES if sd[name]}
-        return {name: sd[name] for name in _FIELD_NAMES}
+        return {_KEYS.get(name, name): (sd[name] / TICKS_PER_CYCLE
+                                        if name in _KEYS else sd[name])
+                for name in _FIELD_NAMES if sd[name] or not skip_zero}
 
 
 #: Field names of :class:`PmuCounters`, resolved once (hot-path ops
 #: above iterate this instead of calling ``dataclasses.fields``).
 _FIELD_NAMES = tuple(f.name for f in fields(PmuCounters))
+#: The key :meth:`PmuCounters.as_dict` renders each tick field under.
+_KEYS = {"cycle_ticks": "cycles", "stall_ticks": "stall_cycles"}
 
 
 @dataclass

@@ -12,6 +12,7 @@ from repro.analysis.experiments import (
     tab05,
 )
 from repro.sim.batch import EXEC_MODES
+from tests.helpers import machine_state
 
 
 @pytest.fixture(scope="module")
@@ -103,18 +104,9 @@ class TestExecModes:
         assert repr(results["reference"].data) == repr(results["batched"].data)
         assert results["reference"].text == results["batched"].text
         # Counters the breakdowns never read must agree too.
-        states = {mode: _machine_state(lab.machine)
+        states = {mode: machine_state(lab.machine)
                   for mode, lab in mode_labs.items()}
         assert states["reference"] == states["batched"]
-
-
-def _machine_state(machine) -> tuple:
-    """PMU counters plus every cache level's statistics."""
-    hier = machine.hierarchy
-    levels = [lv for lv in (hier.l1d, hier.l2, hier.l3) if lv is not None]
-    return (repr(machine.cpu.counters.as_dict()),
-            [(lv.hits, lv.misses, lv.fills, lv.evictions,
-              lv.dirty_evictions) for lv in levels])
 
 
 class TestSweepQueries:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.breakdown import estimate_active_energy, price_counters
 from repro.core.model import DeltaE
-from repro.sim.pmu import PmuCounters
+from repro.sim.pmu import TICKS_PER_CYCLE, PmuCounters
 
 
 def de() -> DeltaE:
@@ -17,7 +17,7 @@ class TestPriceCounters:
     def test_each_term(self):
         counters = PmuCounters(n_l1d=10, n_store_l1d_hit=5, n_l2=2, n_l3=1,
                                n_mem=1, n_pf_l2=3, n_pf_l3=1,
-                               stall_cycles=100.0)
+                               stall_ticks=100 * TICKS_PER_CYCLE)
         b = price_counters(counters, de(), active_energy_j=1.0)
         assert b.e_l1d == pytest.approx(10e-9)
         assert b.e_reg2l1d == pytest.approx(10e-9)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Machine, tiny_intel
 from repro.core.breakdown import price_counters
 from repro.core.model import DeltaE
-from repro.sim.pmu import PmuCounters
+from repro.sim.pmu import TICKS_PER_CYCLE, PmuCounters
 
 
 def quiet():
@@ -110,7 +110,7 @@ class TestBreakdownInvariants:
             n_mem=st.integers(0, 1_000),
             n_pf_l2=st.integers(0, 1_000),
             n_pf_l3=st.integers(0, 1_000),
-            stall_cycles=st.floats(0, 1e6),
+            stall_ticks=st.integers(0, 10 ** 6 * TICKS_PER_CYCLE),
         ),
         st.floats(min_value=0.0, max_value=1.0),
     )

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.sim.cpu import TimingConfig
 from repro.sim.hierarchy import LEVEL_MEM
+from repro.sim.pmu import TICKS_PER_CYCLE
 
 
 @pytest.fixture
@@ -67,9 +68,9 @@ class TestLoadTiming:
     def test_dram_latency_in_cycles_scales_with_frequency(self, machine):
         timing = machine.config.timing
         machine.set_pstate(36)
-        lat_hi = machine.cpu._latency[LEVEL_MEM]
+        lat_hi = machine.cpu._latency[LEVEL_MEM] / TICKS_PER_CYCLE
         machine.set_pstate(12)
-        lat_lo = machine.cpu._latency[LEVEL_MEM]
+        lat_lo = machine.cpu._latency[LEVEL_MEM] / TICKS_PER_CYCLE
         assert lat_hi - timing.lat_l3 == pytest.approx(
             3 * (lat_lo - timing.lat_l3)
         )

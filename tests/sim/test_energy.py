@@ -9,7 +9,7 @@ from repro.sim.energy import (
     RaplCounters,
     active_energy_joules,
 )
-from repro.sim.pmu import PmuCounters
+from repro.sim.pmu import TICKS_PER_CYCLE, PmuCounters
 
 
 def flat_table(value_nj: float = 1.0) -> EventEnergyTable:
@@ -62,7 +62,7 @@ class TestActivePricing:
 
     def test_stall_cycles_priced(self):
         account = active_energy_joules(
-            PmuCounters(stall_cycles=100.0), flat_table(1.0), 1.0
+            PmuCounters(stall_ticks=100 * TICKS_PER_CYCLE), flat_table(1.0), 1.0
         )
         assert account.core_active == pytest.approx(100e-9)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.pmu import Pmu, PmuCounters
+from repro.sim.pmu import TICKS_PER_CYCLE, Pmu, PmuCounters
 
 
 class TestDerivedMetrics:
@@ -12,7 +12,7 @@ class TestDerivedMetrics:
         assert c.instructions == 15
 
     def test_ipc(self):
-        c = PmuCounters(n_add=100, cycles=50.0)
+        c = PmuCounters(n_add=100, cycle_ticks=50 * TICKS_PER_CYCLE)
         assert c.ipc == pytest.approx(2.0)
 
     def test_ipc_zero_cycles(self):
@@ -43,8 +43,8 @@ class TestDerivedMetrics:
 
 class TestSnapshots:
     def test_minus(self):
-        a = PmuCounters(n_l1d=10, cycles=100.0)
-        b = PmuCounters(n_l1d=3, cycles=40.0)
+        a = PmuCounters(n_l1d=10, cycle_ticks=100 * TICKS_PER_CYCLE)
+        b = PmuCounters(n_l1d=3, cycle_ticks=40 * TICKS_PER_CYCLE)
         delta = a.minus(b)
         assert delta.n_l1d == 7
         assert delta.cycles == pytest.approx(60.0)
