@@ -175,25 +175,35 @@ def fig05(lab: Optional[Lab] = None,
     fractions = {engine: {} for engine in ENGINE_ORDER}
     governor = EistGovernor(table=machine.config.pstates,
                             epoch_seconds=0.0004)
-    for engine in ENGINE_ORDER:
-        db = lab.database(engine)
-        for number in queries:
-            run_query(db, number)  # warm caches (steady state)
-            machine.enable_eist(governor)
-            machine.idle(governor.epoch_seconds * 50)  # session think time
-            machine.settle()
-            machine.residency.reset()
-            for _ in range(runs_per_query):
-                run_query(db, number)
-            machine.settle()
+    # The governor leaves the machine wherever it ramped to; restore the
+    # entry P-state and EIST setting for whatever the lab runs next.
+    entry_pstate, entry_governor = machine.pstate, machine.governor
+    try:
+        for engine in ENGINE_ORDER:
+            db = lab.database(engine)
+            for number in queries:
+                run_query(db, number)  # warm caches (steady state)
+                machine.enable_eist(governor)
+                machine.idle(governor.epoch_seconds * 50)  # session think time
+                machine.settle()
+                machine.residency.reset()
+                for _ in range(runs_per_query):
+                    run_query(db, number)
+                machine.settle()
+                machine.disable_eist()
+                busy = machine.residency
+                frac = 100.0 * busy.fraction_at(top)
+                fractions[engine][number] = frac
+                for bucket in buckets:
+                    if frac <= bucket + 1e-9:
+                        histogram[engine][bucket] += 1
+                        break
+    finally:
+        machine.set_pstate(entry_pstate)
+        if entry_governor is None:
             machine.disable_eist()
-            busy = machine.residency
-            frac = 100.0 * busy.fraction_at(top)
-            fractions[engine][number] = frac
-            for bucket in buckets:
-                if frac <= bucket + 1e-9:
-                    histogram[engine][bucket] += 1
-                    break
+        else:
+            machine.enable_eist(entry_governor)
     rows = [
         [f"<= {b}%"] + [histogram[e][b] for e in ENGINE_ORDER]
         for b in buckets

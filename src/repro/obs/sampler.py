@@ -36,10 +36,12 @@ is what the obs-overhead CI job benchmarks the sampler against.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import ConfigError, TraceError
@@ -64,11 +66,16 @@ CACHE_LEVELS = ("L1D", "L2", "L3", "mem")
 DENSE_SLACK = 4096
 
 
+def _field_key(value) -> str:
+    """One field's fold-key string: ``str``, None last."""
+    return "1" if value is None else "0" + str(value)
+
+
 def fold_key(meta: tuple) -> tuple:
     """The order every meta fold adds its rows in: each field by
     ``str``, None last — the order of ``(v is None, str(v))`` pairs,
     with one string per field."""
-    return tuple("1" if v is None else "0" + str(v) for v in meta)
+    return tuple(map(_field_key, meta))
 
 
 class MetaEnergy:
@@ -134,38 +141,59 @@ class MetaEnergy:
         columns[2][i] += dram_j
         columns[3][i] += time_s
 
-    def meta(self, row: int) -> tuple:
-        if row < 0:
-            return self.sparse_meta[~row]
-        tenant, attempt, wasted = self.combos[self.code[row]]
-        return (tenant, row, attempt, wasted)
-
-    def totals(self, row: int) -> tuple:
-        """``(core_j, package_j, dram_j, time_s)`` of one row."""
-        columns = self.dense if row >= 0 else self.sparse
-        i = row if row >= 0 else ~row
-        return (columns[0][i], columns[1][i], columns[2][i],
-                columns[3][i])
+    def entries(self, order: array) -> Iterator[tuple]:
+        """``(meta, core_j, package_j, dram_j, time_s)`` of each row in
+        ``order``."""
+        combos = self.combos
+        code_col = self.code
+        sparse_meta = self.sparse_meta
+        core, package, dram, time = self.dense
+        s_core, s_package, s_dram, s_time = self.sparse
+        for row in order:
+            if row >= 0:
+                tenant, attempt, wasted = combos[code_col[row]]
+                yield ((tenant, row, attempt, wasted), core[row],
+                       package[row], dram[row], time[row])
+            else:
+                i = ~row
+                yield (sparse_meta[i], s_core[i], s_package[i], s_dram[i],
+                       s_time[i])
 
     def fold_order(self) -> array:
-        """Every row, sorted by :func:`fold_key` of its meta.  Dense
-        rows share their triple's key strings, so a row's key costs one
-        tuple and one string.  Rows whose keys tie (distinct values
+        """Every row, sorted by :func:`fold_key` of its meta.
+
+        Rows are bucketed by the first key field, the tenant string, and
+        the buckets are visited in sorted order, each sorted by the
+        remaining fields on its own, so live key objects are bounded by
+        the largest tenant's rows, not the run's.  A bucket holds its
+        dense rows in id order, then its sparse rows in creation order,
+        and the sort is stable, so rows whose keys tie (distinct values
         with one ``str``, such as ``5`` and ``"5"``, which serve runs
-        never tag) stay dense first, then sparse in creation order."""
+        never tag) keep that order — the concatenation is the one sort
+        of every row."""
         parts = [fold_key(combo) for combo in self.combos]
+        buckets: dict = {}
+        combo_bucket = [buckets.setdefault(tenant, array("q"))
+                        for tenant, _, _ in parts]
+        for row, code in enumerate(self.code):
+            if code >= 0:
+                combo_bucket[code].append(row)
+        del combo_bucket  # so each bucket is freed once it is sorted
+        for j, meta in enumerate(self.sparse_meta):
+            buckets.setdefault(_field_key(meta[0]), array("q")).append(~j)
         code_col = self.code
+        sparse_meta = self.sparse_meta
 
         def key(row: int) -> tuple:
             if row < 0:
-                return fold_key(self.sparse_meta[~row])
-            tenant, attempt, wasted = parts[code_col[row]]
-            return (tenant, "0" + str(row), attempt, wasted)
+                return tuple(map(_field_key, sparse_meta[~row][1:]))
+            _, attempt, wasted = parts[code_col[row]]
+            return ("0" + str(row), attempt, wasted)
 
-        rows = [row for row, code in enumerate(code_col) if code >= 0]
-        rows += range(-1, -len(self.sparse_meta) - 1, -1)
-        rows.sort(key=key)
-        return array("q", rows)
+        order = array("q")
+        for tenant in sorted(buckets):
+            order.extend(sorted(buckets.pop(tenant), key=key))
+        return order
 
 
 class _Frame:
@@ -274,8 +302,9 @@ class TelemetrySummary:
 
     Quacks like :class:`~repro.obs.span.Trace` for everything the serve
     report needs — ``domain``, ``total_active_j``,
-    ``active_energy_by_meta``, ``active_energy_by_metas`` — but is built
-    from the exact streaming aggregates, not a span tree.
+    ``active_energy_by_meta``, ``active_energy_by_metas``,
+    ``active_energy_by_request`` — but is built from the exact streaming
+    aggregates, not a span tree.
     """
 
     def __init__(self, domain: str, background, groups: dict,
@@ -308,11 +337,10 @@ class TelemetrySummary:
             self._fold_order = rows.fold_order()
         background_w = self._background_w()
         domain = self.domain
-        for row in self._fold_order:
-            core_j, package_j, dram_j, time_s = rows.totals(row)
-            yield rows.meta(row), (
-                domain_energy_j(core_j, package_j, dram_j, domain)
-                - background_w * time_s)
+        for meta, core_j, package_j, dram_j, time_s in rows.entries(
+                self._fold_order):
+            yield meta, (domain_energy_j(core_j, package_j, dram_j, domain)
+                         - background_w * time_s)
 
     @property
     def total_active_j(self) -> float:
@@ -338,6 +366,31 @@ class TelemetrySummary:
             owner = tuple(meta[i] for i in indices)
             groups[owner] = groups.get(owner, 0.0) + active
         return groups
+
+    def active_energy_by_request(self) -> Iterator[tuple]:
+        """``(request, active_j)`` per tagged request in ascending id
+        order (exactly :meth:`repro.obs.span.Trace.active_energy_by_request`).
+
+        One pass over the meta rows in fold order adds each request's
+        joules from 0.0 into an id-indexed column, with a presence byte
+        per id, so the fold builds no per-request objects.  Ids outside
+        the dense columns' range (negative, past :data:`DENSE_SLACK`, not
+        an int), which serve runs never tag, fold in a dict that is
+        merged in id order."""
+        n = len(self.meta_energy.code)
+        joules = array("d", bytes(8 * n))
+        seen = bytearray(n)
+        others: dict = {}
+        for meta, active in self._metas():
+            rid = meta[1]
+            if type(rid) is int and 0 <= rid < n:
+                joules[rid] += active
+                seen[rid] = 1
+            elif rid is not None:
+                others[rid] = others.get(rid, 0.0) + active
+        dense = zip(compress(range(n), seen), compress(joules, seen))
+        return heapq.merge(dense, sorted(others.items(), key=itemgetter(0)),
+                           key=itemgetter(0))
 
     # ------------------------------------------------------------ views
 

@@ -22,6 +22,7 @@ each span's counters can be priced into a per-span
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -227,6 +228,17 @@ class Trace:
 
         visit(self.root, (None,) * len(keys))
         return groups
+
+    def active_energy_by_request(self) -> Iterator[tuple]:
+        """``(request, active_j)`` per tagged request in ascending id
+        order: the ``"request"`` partition of
+        :meth:`active_energy_by_meta` without the untagged share.  The
+        joules are copied into an array so the dict is freed before a
+        caller merges several machines' pairs."""
+        groups = self.active_energy_by_meta("request")
+        groups.pop(None, None)
+        ids = sorted(groups)
+        return zip(ids, array("d", map(groups.__getitem__, ids)))
 
     # ------------------------------------------------------------ views
 

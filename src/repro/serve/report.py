@@ -21,9 +21,12 @@ its report from the same functions.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
-from typing import Callable, Optional, Sequence
+from collections import Counter
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs.sampler import fold_key
 from repro.obs.span import Trace
@@ -86,16 +89,14 @@ def latency_summary(latencies: Sequence[float]) -> dict:
     return _summary(latencies, "s")
 
 
-def state_counts(request_states: Sequence[Optional[str]],
+def state_counts(request_states: Iterable[Optional[str]],
                  states: Sequence[str]) -> dict:
     """``issued`` plus one count per terminal state in ``states``, in
-    that order.  ``request_states`` holds one state per issued request;
+    that order.  ``request_states`` yields one state per issued request;
     any state not in ``states`` is not counted."""
-    counts = dict.fromkeys(states, 0)
-    for state in request_states:
-        if state in counts:
-            counts[state] += 1
-    return {"issued": len(request_states), **counts}
+    tally = Counter(request_states)
+    return {"issued": sum(tally.values()),
+            **{state: tally[state] for state in states}}
 
 
 def energy_split(traces: dict,
@@ -162,24 +163,21 @@ def energy_split(traces: dict,
 def request_energy(traces: dict) -> dict:
     """Count, mean and percentiles of per-request Active energy.
 
-    Each request's joules are folded over the machines in sorted name
-    order, so the sums are deterministic floats.  The first non-empty
-    partition becomes the accumulator (each value re-added to 0.0, as
-    the fold does), so a serve run builds one per-request map, not two.
+    Each machine yields its per-request joules in id order
+    (``active_energy_by_request``); a stable merge adds each request's
+    joules from 0.0 over the machines in sorted name order, so the sums
+    are deterministic floats, read into the samples in id order.
     """
-    per_request: dict = {}
-    for name in sorted(traces):
-        by_request = traces[name].active_energy_by_meta("request")
-        by_request.pop(None, None)
-        if not per_request:
-            for rid, joules in by_request.items():
-                by_request[rid] = 0.0 + joules
-            per_request = by_request
-            continue
-        for rid, joules in by_request.items():
-            per_request[rid] = per_request.get(rid, 0.0) + joules
-    samples = [per_request[k] for k in sorted(per_request)]
-    del per_request
+    merged = heapq.merge(*(traces[name].active_energy_by_request()
+                           for name in sorted(traces)), key=itemgetter(0))
+    samples = array("d")
+    last = None
+    for rid, joules in merged:
+        if rid == last:
+            samples[-1] += joules
+        else:
+            samples.append(0.0 + joules)
+            last = rid
     return _summary(samples, "j")
 
 
@@ -187,57 +185,46 @@ def build_report(config: ServeConfig, server: QueryServer,
                  trace: Trace, injector=None) -> dict:
     """Assemble the serve run's JSON report.
 
-    Per-request figures come from ``server.ledger``'s columns, read in
+    Per-request figures are read from ``server.ledger``'s columns in
     request-id order — the order the retained request list had — so
-    every float sum adds the same operands in the same order.
+    every float sum adds the same operands in the same order.  One
+    per-request sequence is alive at a time: the latency summary is
+    finished before the energy folds run.
     """
     ledger = server.ledger
     machine = server.machine
     resilient = config.resilient
     states = TERMINAL_STATES if resilient else PLAIN_STATES
-    request_states = ledger.states()
-    latency_col = ledger.latency_s
-    latencies = [latency_col[rid]
-                 for rid, state in enumerate(request_states)
-                 if state == COMPLETED]
+    counts = state_counts(ledger.states(), states)
+    latencies = ledger.completed_latencies()
+    n_completed = len(latencies)
+    latency = latency_summary(latencies)
+    del latencies
 
     by_meta = trace.active_energy_by_meta("tenant")
     system_j = by_meta.pop(None, 0.0)
     tenant_j = dict(sorted(by_meta.items()))
     total_active_j = trace.total_active_j
-    n_completed = len(latencies)
     energy_per_query_j = (total_active_j / n_completed
                           if n_completed else None)
-    latency = latency_summary(latencies)
     mean_latency = latency["mean_s"]
     edp = (energy_per_query_j * mean_latency
            if energy_per_query_j is not None and mean_latency is not None
            else None)
+    request_energy_j = request_energy({"serve": trace})
 
     tenants: dict = {}
-    # Single-pass bucketing: one scan of the tenant column, not one per
-    # tenant (the per-tenant filter was O(requests x tenants), minutes
-    # at a million requests over a thousand tenants).  Buckets hold ids
-    # in ascending order, so per-tenant sums are the same floats.
-    buckets = [array("i") for _ in ledger.tenants]
-    for rid, index in enumerate(ledger.tenant):
-        buckets[index].append(rid)
-    by_tenant = dict(zip(ledger.tenants, buckets))
+    by_tenant = ledger.by_tenant()
     rows = dict(zip(ledger.tenants, ledger.tenant_rows))
-    tenant_names = sorted(by_tenant.keys() | set(tenant_j))
-    for tenant in tenant_names:
-        t_ids = by_tenant.get(tenant, ())
-        t_completed = [rid for rid in t_ids
-                       if request_states[rid] == COMPLETED]
+    for tenant in sorted(by_tenant.keys() | set(tenant_j)):
+        t_states, t_latencies = by_tenant.pop(tenant, ((), ()))
         active_j = tenant_j.get(tenant, 0.0)
         tenants[tenant] = {
-            "counts": state_counts([request_states[rid] for rid in t_ids],
-                                   states),
-            "latency_s": latency_summary(
-                [latency_col[rid] for rid in t_completed]),
+            "counts": state_counts(t_states, states),
+            "latency_s": latency_summary(t_latencies),
             "active_j": active_j,
-            "energy_per_query_j": (active_j / len(t_completed)
-                                   if t_completed else None),
+            "energy_per_query_j": (active_j / len(t_latencies)
+                                   if t_latencies else None),
             "rows": rows.get(tenant, 0),
         }
 
@@ -253,7 +240,7 @@ def build_report(config: ServeConfig, server: QueryServer,
         "config": config.report_fields(
             "workload", "policy", "dvfs", *RUN_FIELDS, "cores", "mpl",
             "quantum_rows", "max_queue", "tenant_quota", "queue_timeout_s"),
-        "counts": state_counts(request_states, states),
+        "counts": counts,
         "latency_s": latency,
         "tenants": tenants,
         "energy": {
@@ -264,7 +251,7 @@ def build_report(config: ServeConfig, server: QueryServer,
             "check_sum_j": system_j + sum(tenant_j.values()),
             "energy_per_query_j": energy_per_query_j,
             "edp_js": edp,
-            "request_energy_j": request_energy({"serve": trace}),
+            "request_energy_j": request_energy_j,
         },
         "clock": {
             "wall_s": machine.time_s,
@@ -281,7 +268,7 @@ def build_report(config: ServeConfig, server: QueryServer,
             "retry_budget", "deadline_s"))
         final_attempt = ledger.attempts
         split = energy_split(
-            {"serve": trace}, request_states.__getitem__, (COMPLETED,),
+            {"serve": trace}, ledger.state_of, (COMPLETED,),
             lambda req, attempt: ("retried" if attempt < final_attempt[req]
                                   else None),
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterator, Optional
 
 from repro.errors import DeadlineExceeded, ServeError
@@ -185,6 +186,31 @@ class RequestLedger:
         if request.state == COMPLETED:
             self.tenant_rows[self.tenant[rid]] += request.rows
 
-    def states(self) -> list:
+    def state_of(self, rid: int) -> Optional[str]:
+        """Request ``rid``'s terminal state (None while in flight)."""
+        return _LEDGER_STATES[self.state[rid]]
+
+    def states(self) -> Iterator:
         """Every request's terminal state by id (None while in flight)."""
-        return [_LEDGER_STATES[code] for code in self.state]
+        return map(_LEDGER_STATES.__getitem__, self.state)
+
+    def completed_latencies(self) -> list:
+        """The completed requests' latencies, in id order."""
+        done = map(_STATE_CODE[COMPLETED].__eq__, self.state)
+        return list(compress(self.latency_s, done))
+
+    def by_tenant(self) -> dict:
+        """``{tenant: (states, completed latencies)}``, each in id order,
+        from one pass over the columns rather than one per tenant."""
+        codes = [array("b") for _ in self.tenants]
+        latencies: list = [[] for _ in self.tenants]
+        done = _STATE_CODE[COMPLETED]
+        for index, code, latency_s in zip(self.tenant, self.state,
+                                          self.latency_s):
+            codes[index].append(code)
+            if code == done:
+                latencies[index].append(latency_s)
+        return {tenant: (map(_LEDGER_STATES.__getitem__, tenant_codes),
+                         tenant_latencies)
+                for tenant, tenant_codes, tenant_latencies
+                in zip(self.tenants, codes, latencies)}

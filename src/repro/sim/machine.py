@@ -216,6 +216,11 @@ class Machine:
     def eist_enabled(self) -> bool:
         return self._eist is not None
 
+    @property
+    def governor(self) -> Optional[EistGovernor]:
+        """The running EIST governor; None while EIST is off."""
+        return self._eist
+
     def set_prefetcher(self, enabled: bool) -> None:
         """MSR-style hardware prefetcher switch (§2.5.3)."""
         self.prefetcher.enabled = enabled

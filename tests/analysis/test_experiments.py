@@ -7,11 +7,13 @@ from repro.analysis import EXPERIMENTS, Lab, LabConfig, tab01, tab02, tab03
 from repro.analysis.experiments import (
     ExperimentResult,
     ext_nosql,
+    fig05,
     fig10,
     fig13,
     tab05,
 )
 from repro.sim.batch import EXEC_MODES
+from repro.sim.dvfs import EistGovernor
 from tests.helpers import machine_state
 
 
@@ -123,3 +125,31 @@ class TestSweepQueries:
         for name, fn in EXPERIMENTS.items():
             params = list(inspect.signature(fn).parameters)
             assert params[0] == "lab", name
+
+
+@pytest.fixture(scope="module")
+def small_lab():
+    return Lab(LabConfig(scale=16, tier="10MB"))
+
+
+class TestMachineStateKept:
+    """An experiment that drives DVFS hands the lab's machine back at the
+    P-state and EIST setting it was given, so the next experiment run on
+    the same lab does not depend on the order they ran in."""
+
+    @pytest.mark.parametrize("eist", [False, True], ids=["eist_off",
+                                                          "eist_on"])
+    def test_fig05_restores_pstate_and_eist(self, small_lab, eist):
+        machine = small_lab.machine
+        governor = (EistGovernor(table=machine.config.pstates)
+                    if eist else None)
+        if governor is not None:
+            machine.enable_eist(governor)
+        entry = machine.pstate
+        try:
+            fig05(small_lab, queries=(1, 6), runs_per_query=1)
+            assert machine.pstate == entry
+            assert machine.eist_enabled == eist
+            assert machine.governor is governor
+        finally:
+            machine.disable_eist()

@@ -24,4 +24,4 @@ def test_retained_bytes_per_request(memory):
 
 
 def test_peak_bytes_per_request(memory):
-    assert memory["peak_b_per_request"] <= 400
+    assert memory["peak_b_per_request"] <= 200
