@@ -9,7 +9,10 @@ with weak locality, in contrast to the sequential table scan.
 Nodes live in simulated-memory regions.  The tree issues loads for the
 keys it compares and the child/next pointers it follows; payload field
 reads are the caller's job (it knows which columns it needs), using the
-entry addresses this module hands out.
+entry addresses this module hands out.  A lookup's path depends only on
+key comparisons, so :meth:`BTree.walk` computes it charge-free and the
+whole descent — every node's probes and child-pointer load — is charged
+as one ``Machine.load_chain``.
 
 The §4.2 co-design hook: :meth:`BTree.relocate_top_levels` moves the
 root and upper layers into DTCM, so that the hot top-of-tree loads
@@ -34,9 +37,12 @@ NODE_HEADER_BYTES = 24
 #: Bytes of one key and one child pointer.
 KEY_BYTES = 8
 PTR_BYTES = 8
-#: Compute ops after each binary-search probe's key load (see
-#: ``Machine.load_chain``).
-PROBE_OPS = ("cmp", "branch")
+
+
+def probe_ops(n: int) -> tuple:
+    """The compute ops of ``n`` binary-search probes, as
+    ``Machine.load_chain`` takes them: a compare and a branch each."""
+    return (("cmp", n), ("branch", n))
 
 
 @dataclass
@@ -147,87 +153,67 @@ class BTree:
 
     # ------------------------------------------------------------ lookups
 
-    def _binary_search(self, node: _Node, key) -> int:
-        """Rightmost position with ``keys[pos] <= key`` (-1 if none).
+    def walk(self, key, addrs: list, strict: bool = False) -> tuple:
+        """Charge-free root-to-leaf path of one lookup of ``key``.
 
-        Charges one dependent key load + compare + branch per probe —
-        the pointer-chasing cost of tree descent.  The probe path
-        depends only on key comparisons, which charge nothing, so it is
-        computed first and charged as one chain."""
+        Appends to ``addrs`` the lookup's dependent loads in order: each
+        node's binary-search key probes (``cmp`` + ``branch`` each, see
+        :func:`probe_ops`), then, for an internal node, its child-pointer
+        load.  The path depends only on key comparisons, which charge
+        nothing, so callers walk first and charge the whole list as one
+        ``Machine.load_chain``.  Returns ``(leaf, pos, path)``: ``pos``
+        is the rightmost leaf position with ``keys[pos] <= key``
+        (``< key`` when ``strict``, which lands range starts on the
+        leftmost subtree that can hold duplicates of ``key``), -1 if
+        none; ``path`` lists ``(node, child index)`` root first, one
+        entry per child-pointer load: every other address the walk
+        appends is a probe.
+        """
+        node = self._root
+        path = []
+        while not node.leaf:
+            pos = max(self._probes(node, key, strict, addrs), 0)
+            addrs.append(
+                node.entry_addr(pos, self.internal_entry_bytes) + KEY_BYTES
+            )
+            path.append((node, pos))
+            node = node.values[pos]
+        return node, self._probes(node, key, strict, addrs), path
+
+    def _probes(self, node: _Node, key, strict: bool, addrs: list) -> int:
+        """Charge-free binary search of one node for :meth:`walk`:
+        appends each probed key's address to ``addrs`` and returns the
+        rightmost position with ``keys[pos] <= key`` (``<`` when
+        ``strict``), -1 if none."""
         keys = node.keys
         base = node.region.base + NODE_HEADER_BYTES
         entry_bytes = (
             self.leaf_entry_bytes if node.leaf else self.internal_entry_bytes
         )
-        probes = []
+        append = addrs.append
         lo, hi = 0, len(keys) - 1
         pos = -1
         while lo <= hi:
             mid = (lo + hi) // 2
-            probes.append(base + mid * entry_bytes)
-            if keys[mid] <= key:
+            append(base + mid * entry_bytes)
+            probe = keys[mid]
+            if probe < key or (not strict and probe == key):
                 pos = mid
                 lo = mid + 1
             else:
                 hi = mid - 1
-        self.machine.load_chain(probes, (), PROBE_OPS)
         return pos
 
-    def _binary_search_left(self, node: _Node, key) -> int:
-        """Rightmost position with ``keys[pos] < key`` (strict; -1 if none).
-
-        Used for range starts: with duplicate keys the descent must land
-        on the *leftmost* subtree that can contain ``key``.  Charged
-        like :meth:`_binary_search`."""
-        keys = node.keys
-        base = node.region.base + NODE_HEADER_BYTES
-        entry_bytes = (
-            self.leaf_entry_bytes if node.leaf else self.internal_entry_bytes
-        )
-        probes = []
-        lo, hi = 0, len(keys) - 1
-        pos = -1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            probes.append(base + mid * entry_bytes)
-            if keys[mid] < key:
-                pos = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        self.machine.load_chain(probes, (), PROBE_OPS)
-        return pos
-
-    def _descend(self, key) -> _Node:
-        node = self._root
-        machine = self.machine
-        while not node.leaf:
-            pos = self._binary_search(node, key)
-            pos = max(pos, 0)
-            machine.load(
-                node.entry_addr(pos, self.internal_entry_bytes) + KEY_BYTES,
-                dependent=True,
-            )
-            node = node.values[pos]
-        return node
-
-    def _descend_left(self, key) -> _Node:
-        """Descend to the leftmost leaf that may hold ``key``."""
-        node = self._root
-        machine = self.machine
-        while not node.leaf:
-            pos = max(self._binary_search_left(node, key), 0)
-            machine.load(
-                node.entry_addr(pos, self.internal_entry_bytes) + KEY_BYTES,
-                dependent=True,
-            )
-            node = node.values[pos]
-        return node
+    def _lookup(self, key, strict: bool = False) -> tuple:
+        """:meth:`walk` charged as one probe chain."""
+        addrs: list = []
+        leaf, pos, path = self.walk(key, addrs, strict)
+        self.machine.load_chain(addrs, probe_ops(len(addrs) - len(path)))
+        return leaf, pos, path
 
     def search(self, key) -> Optional[tuple]:
         """Point lookup: returns ``(payload, entry_addr)`` or None."""
-        leaf = self._descend(key)
-        pos = self._binary_search(leaf, key)
+        leaf, pos, _ = self._lookup(key)
         if pos >= 0 and leaf.keys[pos] == key:
             return leaf.values[pos], leaf.entry_addr(pos, self.leaf_entry_bytes)
         return None
@@ -271,10 +257,9 @@ class BTree:
     def range_scan(self, lo, hi, on_leaf=None) -> Iterator[tuple]:
         """Yield ``(key, payload, entry_addr)`` for lo <= key <= hi."""
         machine = self.machine
-        node: Optional[_Node] = self._descend_left(lo)
+        node, pos, _ = self._lookup(lo, strict=True)
         # Leftmost entry >= lo inside the leaf.
-        start = self._binary_search_left(node, lo) + 1
-        index = start
+        index = pos + 1
         while node is not None:
             if on_leaf is not None:
                 on_leaf(node)
@@ -292,35 +277,24 @@ class BTree:
             index = 0
 
     def _leftmost_leaf(self) -> _Node:
+        """The first leaf, its child-pointer loads charged as one chain."""
         node = self._root
-        machine = self.machine
+        addrs = []
         while not node.leaf:
-            machine.load(
-                node.entry_addr(0, self.internal_entry_bytes) + KEY_BYTES,
-                dependent=True,
-            )
+            addrs.append(node.entry_addr(0, self.internal_entry_bytes) + KEY_BYTES)
             node = node.values[0]
+        self.machine.load_chain(addrs)
         return node
 
     # ------------------------------------------------------------ insert
 
     def insert(self, key, payload) -> None:
         """Insert one entry, splitting on the way back up as needed."""
-        path: list[tuple[_Node, int]] = []
-        node = self._root
-        machine = self.machine
-        while not node.leaf:
-            pos = max(self._binary_search(node, key), 0)
-            machine.load(
-                node.entry_addr(pos, self.internal_entry_bytes) + KEY_BYTES,
-                dependent=True,
-            )
-            path.append((node, pos))
-            node = node.values[pos]
-        pos = self._binary_search(node, key) + 1
+        node, pos, path = self._lookup(key)
+        pos += 1
         node.keys.insert(pos, key)
         node.values.insert(pos, payload)
-        machine.store_bytes(
+        self.machine.store_bytes(
             node.entry_addr(pos, self.leaf_entry_bytes), self.leaf_entry_bytes
         )
         self.n_entries += 1
@@ -368,8 +342,7 @@ class BTree:
 
     def update_payload(self, key, payload) -> bool:
         """Overwrite the payload of an existing key; False if absent."""
-        leaf = self._descend(key)
-        pos = self._binary_search(leaf, key)
+        leaf, pos, _ = self._lookup(key)
         if pos < 0 or leaf.keys[pos] != key:
             return False
         leaf.values[pos] = payload
@@ -391,10 +364,10 @@ class BTree:
         searches and scans remain correct, which is all the mini engine
         needs.
         """
-        leaf = self._descend_left(key)
+        leaf, pos, _ = self._lookup(key, strict=True)
         machine = self.machine
-        while leaf is not None:
-            pos = self._binary_search_left(leaf, key) + 1  # leftmost >= key
+        while True:
+            pos += 1  # leftmost >= key
             while pos < len(leaf.keys):
                 if leaf.keys[pos] != key:
                     return False  # past the duplicates: not found
@@ -419,10 +392,15 @@ class BTree:
                 )
                 self.n_entries -= 1
                 return True
-            # Every key in this leaf is < key: follow the sibling chain.
-            machine.load(leaf.region.base + 8, dependent=True)
+            # Every key in this leaf is < key: follow the sibling chain,
+            # the next-pointer load and the next leaf's probes as one chain.
+            addrs = [leaf.region.base + 8]
             leaf = leaf.next_leaf
-        return False
+            if leaf is None:
+                machine.load_chain(addrs)
+                return False
+            pos = self._probes(leaf, key, True, addrs)
+            machine.load_chain(addrs, probe_ops(len(addrs) - 1))
 
     # ------------------------------------------------------------ topology
 

@@ -303,8 +303,8 @@ class TelemetrySummary:
     Quacks like :class:`~repro.obs.span.Trace` for everything the serve
     report needs — ``domain``, ``total_active_j``,
     ``active_energy_by_meta``, ``active_energy_by_metas``,
-    ``active_energy_by_request`` — but is built from the exact streaming
-    aggregates, not a span tree.
+    ``active_energy_by_request``, ``energy_folds`` — but is built from
+    the exact streaming aggregates, not a span tree.
     """
 
     def __init__(self, domain: str, background, groups: dict,
@@ -369,28 +369,46 @@ class TelemetrySummary:
 
     def active_energy_by_request(self) -> Iterator[tuple]:
         """``(request, active_j)`` per tagged request in ascending id
-        order (exactly :meth:`repro.obs.span.Trace.active_energy_by_request`).
+        order (exactly :meth:`repro.obs.span.Trace.active_energy_by_request`);
+        the request fold of :meth:`energy_folds`."""
+        return self.energy_folds("tenant")[2]
 
-        One pass over the meta rows in fold order adds each request's
-        joules from 0.0 into an id-indexed column, with a presence byte
-        per id, so the fold builds no per-request objects.  Ids outside
-        the dense columns' range (negative, past :data:`DENSE_SLACK`, not
-        an int), which serve runs never tag, fold in a dict that is
-        merged in id order."""
+    def energy_folds(self, key: str) -> tuple:
+        """``(active_energy_by_meta(key), total_active_j,
+        active_energy_by_request())`` from one pass over the meta rows,
+        each fold adding the same operands in the same order as on its
+        own (``sum`` consumes the pass, so the total is its float sum).
+
+        The request fold adds each request's joules from 0.0 into an
+        id-indexed column, with a presence byte per id, so it builds no
+        per-request objects.  Ids outside the dense columns' range
+        (negative, past :data:`DENSE_SLACK`, not an int), which serve
+        runs never tag, fold in a dict that is merged in id order."""
+        index = META_KEYS.index(key)
+        groups: dict = {}
         n = len(self.meta_energy.code)
         joules = array("d", bytes(8 * n))
         seen = bytearray(n)
         others: dict = {}
-        for meta, active in self._metas():
-            rid = meta[1]
-            if type(rid) is int and 0 <= rid < n:
-                joules[rid] += active
-                seen[rid] = 1
-            elif rid is not None:
-                others[rid] = others.get(rid, 0.0) + active
+
+        def actives() -> Iterator[float]:
+            for meta, active in self._metas():
+                owner = meta[index]
+                groups[owner] = groups.get(owner, 0.0) + active
+                rid = meta[1]
+                if type(rid) is int and 0 <= rid < n:
+                    joules[rid] += active
+                    seen[rid] = 1
+                elif rid is not None:
+                    others[rid] = others.get(rid, 0.0) + active
+                yield active
+
+        total = sum(actives())
         dense = zip(compress(range(n), seen), compress(joules, seen))
-        return heapq.merge(dense, sorted(others.items(), key=itemgetter(0)),
-                           key=itemgetter(0))
+        by_request = heapq.merge(
+            dense, sorted(others.items(), key=itemgetter(0)),
+            key=itemgetter(0))
+        return groups, total, by_request
 
     # ------------------------------------------------------------ views
 
@@ -518,11 +536,10 @@ class SamplingAggregator:
         """Fold everything since the last transition into the open
         frame's group and meta aggregates (the exact-partition step)."""
         machine = self.machine
-        machine.settle()
         frame = self._stack[-1]
-        settled = machine._settled
-        delta = settled.minus(self._last_counters)
-        self._last_counters = settled
+        delta = machine.settled_since(self._last_counters)
+        if delta is not None:
+            self._last_counters = machine._settled
         rapl = machine.rapl
         core = rapl.energy_core()
         package = rapl.energy_package()
@@ -555,7 +572,8 @@ class SamplingAggregator:
         agg.core_j += d_core
         agg.package_j += d_package
         agg.dram_j += d_dram
-        agg.counters.accumulate(delta)
+        if delta is not None:
+            agg.counters.accumulate(delta)
 
         row = frame.row
         if row is None:

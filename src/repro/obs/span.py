@@ -240,6 +240,14 @@ class Trace:
         ids = sorted(groups)
         return zip(ids, array("d", map(groups.__getitem__, ids)))
 
+    def energy_folds(self, key: str) -> tuple:
+        """``(active_energy_by_meta(key), total_active_j,
+        active_energy_by_request())``: the serve report's three folds
+        (:meth:`repro.obs.sampler.TelemetrySummary.energy_folds` makes
+        them in one pass)."""
+        return (self.active_energy_by_meta(key), self.total_active_j,
+                self.active_energy_by_request())
+
     # ------------------------------------------------------------ views
 
     def spans(self) -> Iterator[Span]:

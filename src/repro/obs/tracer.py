@@ -135,11 +135,11 @@ class Tracer:
     def _credit_top(self) -> None:
         """Credit everything since the last transition to the open span."""
         machine = self.machine
-        machine.settle()
         top = self._stack[-1]
-        settled = machine._settled
-        top.self_counters.accumulate(settled.minus(self._last_counters))
-        self._last_counters = settled
+        delta = machine.settled_since(self._last_counters)
+        if delta is not None:
+            top.self_counters.accumulate(delta)
+            self._last_counters = machine._settled
         rapl = machine.rapl
         core = rapl.energy_core()
         package = rapl.energy_package()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -72,20 +71,21 @@ def percentile(samples: Sequence[float], p: float) -> Optional[float]:
     return _ranked(sorted(samples), p)
 
 
-def _summary(samples: Sequence[float], unit: str) -> dict:
+def _summary(samples: list, unit: str) -> dict:
     """Count, mean and percentiles; value keys end in ``_{unit}``.
 
-    The mean sums ``samples`` in the order given; the percentiles read
-    one sorted copy."""
+    The mean sums ``samples`` in the order given; then the list is
+    sorted in place, so the percentiles need no second list."""
     out: dict = {"n": len(samples)}
     out[f"mean_{unit}"] = (sum(samples) / len(samples)) if samples else None
-    ordered = sorted(samples)
+    samples.sort()
     for p in PERCENTILES:
-        out[f"p{p}_{unit}"] = _ranked(ordered, p)
+        out[f"p{p}_{unit}"] = _ranked(samples, p)
     return out
 
 
-def latency_summary(latencies: Sequence[float]) -> dict:
+def latency_summary(latencies: list) -> dict:
+    """:func:`_summary` in seconds; sorts ``latencies`` in place."""
     return _summary(latencies, "s")
 
 
@@ -164,13 +164,18 @@ def request_energy(traces: dict) -> dict:
     """Count, mean and percentiles of per-request Active energy.
 
     Each machine yields its per-request joules in id order
-    (``active_energy_by_request``); a stable merge adds each request's
-    joules from 0.0 over the machines in sorted name order, so the sums
-    are deterministic floats, read into the samples in id order.
-    """
-    merged = heapq.merge(*(traces[name].active_energy_by_request()
-                           for name in sorted(traces)), key=itemgetter(0))
-    samples = array("d")
+    (``active_energy_by_request``); see :func:`_request_energy`."""
+    return _request_energy([traces[name].active_energy_by_request()
+                            for name in sorted(traces)])
+
+
+def _request_energy(per_machine: list) -> dict:
+    """:func:`request_energy` over each machine's ``(request, joules)``
+    pairs, machines in sorted name order: a stable merge adds each
+    request's joules from 0.0 over the machines, so the sums are
+    deterministic floats, read into the samples in id order."""
+    merged = heapq.merge(*per_machine, key=itemgetter(0))
+    samples: list = []
     last = None
     for rid, joules in merged:
         if rid == last:
@@ -201,17 +206,16 @@ def build_report(config: ServeConfig, server: QueryServer,
     latency = latency_summary(latencies)
     del latencies
 
-    by_meta = trace.active_energy_by_meta("tenant")
+    by_meta, total_active_j, by_request = trace.energy_folds("tenant")
     system_j = by_meta.pop(None, 0.0)
     tenant_j = dict(sorted(by_meta.items()))
-    total_active_j = trace.total_active_j
     energy_per_query_j = (total_active_j / n_completed
                           if n_completed else None)
     mean_latency = latency["mean_s"]
     edp = (energy_per_query_j * mean_latency
            if energy_per_query_j is not None and mean_latency is not None
            else None)
-    request_energy_j = request_energy({"serve": trace})
+    request_energy_j = _request_energy([by_request])
 
     tenants: dict = {}
     by_tenant = ledger.by_tenant()
@@ -221,7 +225,8 @@ def build_report(config: ServeConfig, server: QueryServer,
         active_j = tenant_j.get(tenant, 0.0)
         tenants[tenant] = {
             "counts": state_counts(t_states, states),
-            "latency_s": latency_summary(t_latencies),
+            # One tenant's samples as float objects at a time.
+            "latency_s": latency_summary(list(t_latencies)),
             "active_j": active_j,
             "energy_per_query_j": (active_j / len(t_latencies)
                                    if t_latencies else None),

@@ -201,9 +201,10 @@ class RequestLedger:
 
     def by_tenant(self) -> dict:
         """``{tenant: (states, completed latencies)}``, each in id order,
-        from one pass over the columns rather than one per tenant."""
+        from one pass over the columns rather than one per tenant.  The
+        latencies are an ``array('d')`` per tenant, 8 bytes a sample."""
         codes = [array("b") for _ in self.tenants]
-        latencies: list = [[] for _ in self.tenants]
+        latencies = [array("d") for _ in self.tenants]
         done = _STATE_CODE[COMPLETED]
         for index, code, latency_s in zip(self.tenant, self.state,
                                           self.latency_s):

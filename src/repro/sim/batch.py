@@ -28,8 +28,8 @@ lines L1D-resident the rest of the call folds into one bulk update (see
 :meth:`BatchExecutor._ring_fast`).  A ring the verified walk declines
 (no L2/L3, a ring overlapping the TCM window, a zero step) makes one
 pass of the generic walk.  Dependent probe chains (``load_chain``:
-B-tree, SSTable and bloom descents) take the generic walk in one call
-(see :meth:`BatchExecutor.load_chain`).
+one whole B-tree descent or LSM point lookup per call) take the generic
+walk in one call (see :meth:`BatchExecutor.load_chain`).
 
 The batched path is **bit-identical** to the reference path: it performs
 the same set/LRU mutations in the same order, so PMU counters, cache
@@ -65,12 +65,6 @@ EXEC_MODES = ("reference", "batched")
 _LEVEL_STATS = ("hits", "misses", "fills", "evictions", "dirty_evictions",
                 "_occupancy")
 _PF_STATS = ("n_trained", "n_pf_l2_issued", "n_pf_l3_issued")
-
-
-#: Probe-chain compute op -> its issue width in ticks, a ``Cpu``
-#: attribute; its PMU counter is ``n_<op>``.
-_OP_WIDTH = {"add": "_alu_issue", "mul": "_mul_issue", "cmp": "_cmp_issue",
-             "branch": "_branch_issue"}
 
 
 def _list_snapshot(sets, pf) -> tuple:
@@ -126,19 +120,15 @@ class ReferenceExecutor:
             load(base + cursor * LINE_SIZE)
         return cursor
 
-    def load_chain(self, addrs: Sequence[int], pre: Sequence[str] = (),
-                   post: Sequence[str] = ()) -> None:
-        """Per address: the ``pre`` compute ops, one dependent load, the
-        ``post`` compute ops (``Cpu`` method names, one op each)."""
+    def load_chain(self, addrs: Sequence[int],
+                   ops: Sequence[tuple] = ()) -> None:
+        """One dependent load per address, in order, then the chain's
+        compute ops: ``(op, count)`` pairs of ``Cpu`` method names."""
         cpu = self.cpu
-        before = [getattr(cpu, op) for op in pre]
-        after = [getattr(cpu, op) for op in post]
         for addr in addrs:
-            for op in before:
-                op(1)
             cpu.load(addr, True)
-            for op in after:
-                op(1)
+        for op, n in ops:
+            getattr(cpu, op)(n)
 
     def store_repeat(self, addr: int, n: int) -> None:
         """``n`` stores to the same address."""
@@ -220,9 +210,6 @@ class BatchExecutor:
                      else (lvl, lvl._sets, lvl._set_mask, lvl.assoc))
         self._geom = (*geom, hier._fill_l2, hier._fill_l3,
                       hier.prefetcher, hier.prefetcher.observe)
-        #: ``(pre, post)`` op names -> the compute ticks and the counter
-        #: names to bump per probe.  See :meth:`load_chain`.
-        self._chain_ops: dict = {}
         #: Probe-chain regime counters, host-side only like ``ring_*``:
         #: :meth:`load_chain` calls and the loads they charged.
         self.chain_walks = 0
@@ -615,37 +602,27 @@ class BatchExecutor:
         self.one_generic_loads += 1
         return cpu.load(addr, dependent)
 
-    def load_chain(self, addrs: Sequence[int], pre: Sequence[str] = (),
-                   post: Sequence[str] = ()) -> None:
-        """A chain of dependent loads, each between its compute ops.
+    def load_chain(self, addrs: Sequence[int],
+                   ops: Sequence[tuple] = ()) -> None:
+        """A chain of dependent loads, then its compute ops.
 
-        Per address, in order: the ``pre`` ops (``Cpu`` method names,
-        one instruction each), a dependent load, the ``post`` ops — the
-        B-tree, SSTable and bloom probes, whose next address depends
-        only on Python-side comparisons that charge nothing, so callers
-        compute the whole path first and charge it here in one walk.
-        The compute ops' ticks and instruction counts are bulk-added
-        after the walk.
+        A whole index lookup — the B-tree descent with each node's
+        binary-search probes and child-pointer load, and the LSM runs'
+        bloom probes and searches — whose next address depends only on
+        Python-side comparisons that charge nothing, so callers compute
+        the whole path first and charge it here in one walk.  ``ops``
+        are ``(op, count)`` pairs of ``Cpu`` method names, charged after
+        the walk: ticks are ints, so the order of the adds does not
+        change the sums.
         """
-        if not addrs:
-            return
-        key = (pre, post)
-        ops = self._chain_ops.get(key)
         cpu = self.cpu
-        if ops is None:
-            names = (*pre, *post)
-            ops = self._chain_ops[key] = (
-                sum(getattr(cpu, _OP_WIDTH[op]) for op in names),
-                ["n_" + op for op in names])
-        cpu.hierarchy.mut_epoch += 1
-        self._load_addrs(addrs, True)
-        n = len(addrs)
-        counters = cpu.counters.__dict__
-        counters["cycle_ticks"] += n * ops[0]
-        for name in ops[1]:
-            counters[name] += n
-        self.chain_walks += 1
-        self.chain_loads += n
+        if addrs:
+            cpu.hierarchy.mut_epoch += 1
+            self._load_addrs(addrs, True)
+            self.chain_walks += 1
+            self.chain_loads += len(addrs)
+        for op, n in ops:
+            getattr(cpu, op)(n)
 
     def store_one(self, addr: int) -> None:
         """One store instruction, flattened like :meth:`load_one` (the

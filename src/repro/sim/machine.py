@@ -114,6 +114,10 @@ class Machine:
         self.busy_s = 0.0
         self.idle_s = 0.0
         self._settled = PmuCounters()
+        #: The snapshot the last pricing settle() started from and the
+        #: delta it took, for :meth:`settled_since`.
+        self._settle_base: Optional[PmuCounters] = None
+        self._settle_delta: Optional[PmuCounters] = None
 
         #: Observability: the active span tracer (a no-op by default so
         #: the micro-op path pays nothing) and the metrics registry fed
@@ -253,7 +257,25 @@ class Machine:
             self.residency.record(self.pstate, busy)
             if self.timeline is not None:
                 self.timeline.on_advance()
+        self._settle_base = self._settled
+        self._settle_delta = delta
         self._settled = self.pmu.counters.copy()
+
+    def settled_since(self, snapshot: PmuCounters) -> Optional[PmuCounters]:
+        """Settle, then return the settled counters' delta from
+        ``snapshot``, an earlier ``_settled``: None when nothing has
+        been settled since (the delta would be all zeros, and adding
+        zero ints changes no counter), the delta :meth:`settle` took
+        when it started from ``snapshot`` (the same subtraction), a
+        fresh subtraction otherwise.  Span credits call this once per
+        transition; the returned delta is shared, so read it only."""
+        self.settle()
+        settled = self._settled
+        if settled is snapshot:
+            return None
+        if self._settle_base is snapshot:
+            return self._settle_delta
+        return settled.minus(snapshot)
 
     def idle(self, seconds: float) -> None:
         """CPU-idle wall-clock time (disk waits, sleeps)."""
@@ -398,6 +420,7 @@ class Machine:
         self.hierarchy.set_counters(self.pmu.counters)
         self.cpu.set_counters(self.pmu.counters)
         self._settled = PmuCounters()
+        self._settle_base = self._settle_delta = None
         self.rapl.reset()
         self.residency.reset()
         self.disk.reset_stats()

@@ -14,7 +14,9 @@ Model notes:
 * the **memtable** is a B-tree in ordinary memory — hot while small;
 * **SSTables** are immutable sorted runs; a point lookup is a bloom
   probe (hashing + one or two bit-array loads) followed, on a maybe,
-  by a dependent binary search over the run;
+  by a dependent binary search over the run.  A whole ``get`` — the
+  memtable descent, then each run's bloom probe and search — is one
+  chain of dependent loads, charged in one ``Machine.load_chain``;
 * **compaction** merges runs sequentially (streaming reads + writes),
   the LSM's background bandwidth cost;
 * per-operation engine overhead is far leaner than a SQL executor's
@@ -28,17 +30,22 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.db.btree import PROBE_OPS, BTree
+from repro.db.btree import BTree, probe_ops
 from repro.errors import ConfigError
 from repro.sim.address_space import LINE_SIZE
 from repro.sim.machine import Machine
 
 #: Bytes per stored entry (16B key/metadata + value payload).
 ENTRY_KEY_BYTES = 16
-#: A bloom probe's compute ops around its bit-array load: hash the key
-#: (mul, add) before, test the bit (cmp) after.
-_HASH_OPS = ("mul", "add")
-_TEST_OPS = ("cmp",)
+
+
+def lookup_ops(probes: int, hashes: int) -> tuple:
+    """The compute ops of a lookup chain with ``probes`` binary-search
+    probes (:func:`~repro.db.btree.probe_ops`) and ``hashes`` bloom
+    probes (hash the key with a mul and an add, test the bit with a
+    compare)."""
+    return (*probe_ops(probes), ("mul", hashes), ("add", hashes),
+            ("cmp", hashes))
 
 
 class BloomFilter:
@@ -69,19 +76,17 @@ class BloomFilter:
             machine.store(self.region.base + (position // 8 // LINE_SIZE) * LINE_SIZE)
             self._bits.add(position)
 
-    def maybe_contains(self, key: int) -> bool:
-        """Per hash: hash it (mul, add), load its line, test the bit
-        (cmp); the first unset bit ends the probe chain."""
+    def probe(self, key: int, addrs: list) -> bool:
+        """Charge-free membership probe: appends to ``addrs`` the line
+        of each hash's bit, up to and including the first unset one, and
+        returns whether every bit was set.  Each appended load is one
+        hash of :func:`lookup_ops`."""
         base = self.region.base
-        probes = []
-        found = True
         for position in self._positions(key):
-            probes.append(base + (position // 8 // LINE_SIZE) * LINE_SIZE)
+            addrs.append(base + (position // 8 // LINE_SIZE) * LINE_SIZE)
             if position not in self._bits:
-                found = False
-                break
-        self.machine.load_chain(probes, _HASH_OPS, _TEST_OPS)
-        return found
+                return False
+        return True
 
 
 class SSTable:
@@ -118,31 +123,39 @@ class SSTable:
     def _entry_addr(self, index: int) -> int:
         return self.region.base + index * self.entry_bytes
 
-    def get(self, key: int):
-        """Bloom-guarded binary search; None when absent."""
-        if not self.entries or not self.bloom.maybe_contains(key):
-            return None
-        machine = self.machine
+    def probe(self, key: int, addrs: list) -> tuple:
+        """Charge-free bloom-guarded binary search for ``key``.
+
+        Appends to ``addrs`` the bloom probes, then, when the filter
+        says maybe, the search's key probes.  Returns ``(index,
+        hashes)``: the entry's index (-1 when absent) and how many of
+        the appended loads are bloom probes."""
+        if not self.entries:
+            return -1, 0
+        start = len(addrs)
+        maybe = self.bloom.probe(key, addrs)
+        hashes = len(addrs) - start
+        if not maybe:
+            return -1, hashes
         entries = self.entries
-        probes = []
-        hit = False
         lo, hi = 0, len(entries) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            probes.append(self._entry_addr(mid))
-            entry_key, value = entries[mid]
+            addrs.append(self._entry_addr(mid))
+            entry_key = entries[mid][0]
             if entry_key == key:
-                hit = True
-                break
+                return mid, hashes
             if entry_key < key:
                 lo = mid + 1
             else:
                 hi = mid - 1
-        machine.load_chain(probes, (), PROBE_OPS)
-        if not hit:
-            return None
-        machine.load_bytes(probes[-1] + ENTRY_KEY_BYTES, self.value_bytes)
-        return value
+        return -1, hashes
+
+    def read_value(self, index: int):
+        """Load entry ``index``'s value bytes and return the value."""
+        self.machine.load_bytes(self._entry_addr(index) + ENTRY_KEY_BYTES,
+                                self.value_bytes)
+        return self.entries[index][1]
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple]:
         """Sequential range read (prefetcher-friendly)."""
@@ -264,14 +277,26 @@ class LsmStore:
     # ------------------------------------------------------------- reads
 
     def get(self, key: int):
+        """Point lookup: the memtable path, then each run newest first
+        up to the first hit, charged as one probe chain; a run hit then
+        reads its value bytes."""
         self._op_overhead()
-        hit = self._memtable.search(key)
-        if hit is not None:
-            return hit[0]
+        addrs: list = []
+        leaf, pos, path = self._memtable.walk(key, addrs)
+        probes = len(addrs) - len(path)
+        if pos >= 0 and leaf.keys[pos] == key:
+            self.machine.load_chain(addrs, lookup_ops(probes, 0))
+            return leaf.values[pos]
+        hashes = 0
         for table in self.sstables:  # newest first
-            value = table.get(key)
-            if value is not None:
-                return value
+            start = len(addrs)
+            index, n = table.probe(key, addrs)
+            hashes += n
+            probes += len(addrs) - start - n
+            if index >= 0:
+                self.machine.load_chain(addrs, lookup_ops(probes, hashes))
+                return table.read_value(index)
+        self.machine.load_chain(addrs, lookup_ops(probes, hashes))
         return None
 
     def scan(self, lo: int, hi: int, limit: Optional[int] = None) -> list:

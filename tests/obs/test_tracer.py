@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.config import tiny_intel
 from repro.errors import TraceError
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import NULL_TRACER, SamplingAggregator, Tracer
 from repro.obs.span import CATEGORY_OPERATOR
+from repro.sim.machine import Machine
 
 
 def _work(machine, n=64):
@@ -12,6 +14,50 @@ def _work(machine, n=64):
     for i in range(n):
         machine.load(base + (i % 64) * 64)
     machine.add(n)
+
+
+def _fresh_subtraction(machine, snapshot):
+    """Credit by settling and subtracting, with no delta reuse."""
+    machine.settle()
+    settled = machine._settled
+    return None if settled is snapshot else settled.minus(snapshot)
+
+
+class TestCreditDelta:
+    @pytest.mark.parametrize("kind", (Tracer, SamplingAggregator))
+    def test_reused_settle_delta_equals_fresh_subtraction(self, kind,
+                                                          monkeypatch):
+        """Span credits reuse the delta ``settle`` took; with a second
+        consumer settling in between, with empty transitions and across
+        ``reset_measurements``, every span's counters match a credit
+        that subtracts afresh each time."""
+        def run() -> list:
+            machine = Machine(tiny_intel())
+            tracer = kind(machine)
+            other = Tracer(machine, name="other")
+            with tracer:
+                with tracer.span("a"):
+                    _work(machine)
+                    other.enter(other.open("x"))
+                    _work(machine, 8)
+                    with tracer.span("empty"):
+                        pass
+                with tracer.span("b"):
+                    _work(machine, 16)
+                    # Credited with no work since the reset's settle.
+                    machine.reset_measurements()
+                    with tracer.span("c"):
+                        _work(machine, 4)
+            summary = tracer.finish()
+            if kind is Tracer:
+                return [(s.name, s.self_counters.as_dict())
+                        for s in summary.spans()]
+            return sorted((key, agg.counters.as_dict())
+                          for key, agg in summary.groups.items())
+
+        reused = run()
+        monkeypatch.setattr(Machine, "settled_since", _fresh_subtraction)
+        assert run() == reused
 
 
 class TestSpanTree:

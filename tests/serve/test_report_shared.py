@@ -6,13 +6,27 @@ import pytest
 from repro.cluster import ClusterConfig, render_cluster_summary
 from repro.errors import ConfigError
 from repro.serve import ServeConfig, render_serve_summary
-from repro.serve.report import SUMMARY_REASONS, state_counts, waste_line
+from repro.serve.report import (
+    SUMMARY_REASONS,
+    latency_summary,
+    state_counts,
+    waste_line,
+)
 
 
 class TestStateCounts:
     def test_counts_listed_states_in_order(self):
         counts = state_counts(["b", "a", "b", "other", None], ("a", "b"))
         assert list(counts.items()) == [("issued", 5), ("a", 1), ("b", 2)]
+
+
+class TestLatencySummary:
+    def test_mean_in_given_order_then_sorted_in_place(self):
+        samples = [0.3, 0.1, 0.2, 0.1]
+        summary = latency_summary(samples)
+        assert summary["mean_s"] == sum([0.3, 0.1, 0.2, 0.1]) / 4
+        assert samples == [0.1, 0.1, 0.2, 0.3]
+        assert (summary["p50_s"], summary["p95_s"]) == (0.1, 0.3)
 
 
 # Eight reasons; the largest sorts last by name.

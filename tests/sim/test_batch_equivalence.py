@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import tiny_arm, tiny_intel
-from repro.db.btree import PROBE_OPS, BTree
+from repro.db.btree import BTree, probe_ops
 from repro.errors import ConfigError
 from repro.micro.framework import shuffled_chain_order
 from repro.sim.address_space import Region
@@ -29,7 +29,9 @@ from repro.sim.hierarchy import LEVEL_MEM
 from repro.sim.machine import Machine
 from repro.sim.pmu import TICKS_PER_CYCLE
 from repro.sim.tcm import TcmConfig
-from repro.workloads.kvstore import BloomFilter, LsmStore, SSTable
+from repro.workloads.kvstore import (BloomFilter, LsmStore, SSTable,
+                                     lookup_ops)
+from tests.helpers import exact_state
 
 PRESETS = {"intel": tiny_intel, "arm": tiny_arm}
 
@@ -151,35 +153,6 @@ def _execute(preset: str, mode: str, program: list, eist: bool):
     return machine
 
 
-def _state(machine: Machine) -> dict:
-    rapl = machine.rapl
-    state = {
-        "counters": machine.cpu.counters.as_dict(),
-        "core_j": rapl.energy_core(),
-        "package_j": rapl.energy_package(),
-        "dram_j": rapl.energy_dram(),
-        "time_s": machine.time_s,
-        "busy_s": machine.busy_s,
-        "pstate": machine.pstate,
-    }
-    for level in (machine.hierarchy.l1d, machine.hierarchy.l2,
-                  machine.hierarchy.l3):
-        if level is None:
-            continue
-        state[level.name] = (
-            level.hits, level.misses, level.fills, level.evictions,
-            level.dirty_evictions, level.occupancy,
-            tuple(tuple(s.items()) for s in level._sets),
-        )
-    pf = machine.hierarchy.prefetcher
-    state["prefetcher"] = (
-        pf.n_trained, pf.n_pf_l2_issued, pf.n_pf_l3_issued, pf._victim,
-        tuple((s.last_line, s.run_length, s.l2_up_to, s.prefetched_up_to)
-              for s in pf._streams),
-    )
-    return state
-
-
 @pytest.mark.parametrize("preset", ("intel", "arm"))
 @pytest.mark.parametrize("seed", range(5))
 def test_random_mix_equivalence(preset, seed):
@@ -191,8 +164,8 @@ def test_random_mix_equivalence(preset, seed):
         tcm.base if tcm is not None else None,
         tcm.size if tcm is not None else 0,
     )
-    ref = _state(_execute(preset, "reference", program, eist=False))
-    bat = _state(_execute(preset, "batched", program, eist=False))
+    ref = exact_state(_execute(preset, "reference", program, eist=False))
+    bat = exact_state(_execute(preset, "batched", program, eist=False))
     assert ref == bat
 
 
@@ -206,8 +179,8 @@ def test_random_mix_equivalence_with_eist(preset):
         tcm.base if tcm is not None else None,
         tcm.size if tcm is not None else 0,
     )
-    ref = _state(_execute(preset, "reference", program, eist=True))
-    bat = _state(_execute(preset, "batched", program, eist=True))
+    ref = exact_state(_execute(preset, "reference", program, eist=True))
+    bat = exact_state(_execute(preset, "batched", program, eist=True))
     assert ref == bat
 
 
@@ -220,8 +193,8 @@ def test_scan_memo_invalidated_by_per_op_access():
         ("load", "small", 256, True),
         ("scan", "small", 0, 8, 1),
     ]
-    ref = _state(_execute("intel", "reference", program, eist=False))
-    bat = _state(_execute("intel", "batched", program, eist=False))
+    ref = exact_state(_execute("intel", "reference", program, eist=False))
+    bat = exact_state(_execute("intel", "batched", program, eist=False))
     assert ref == bat
 
 
@@ -235,9 +208,9 @@ def _run_scenario(mode: str, body, config=None) -> Machine:
 def _assert_modes_agree(body, config=None):
     """Run ``body`` in both modes, require identical state, and return
     the batched machine's executor (for regime-counter checks)."""
-    ref = _state(_run_scenario("reference", body, config))
+    ref = exact_state(_run_scenario("reference", body, config))
     batched = _run_scenario("batched", body, config)
-    assert ref == _state(batched)
+    assert ref == exact_state(batched)
     return batched._executors["batched"]
 
 
@@ -868,9 +841,12 @@ def test_list_memo_cleared_by_exec_mode_round_trip():
 # ------------------------------------------------------------ probe chains
 
 def _walk_chains(machine: Machine, addrs: list, length: int,
-                 pre=(), post=PROBE_OPS) -> None:
+                 ops=probe_ops) -> None:
+    """``length``-probe chains over ``addrs``; ``ops(n)`` gives a chain
+    of ``n`` probes its compute ops."""
     for i in range(0, len(addrs), length):
-        machine.load_chain(addrs[i:i + length], pre, post)
+        chain = addrs[i:i + length]
+        machine.load_chain(chain, ops(len(chain)))
 
 
 @pytest.mark.parametrize("n_lines, level", ((16, "l1d_hits"),
@@ -917,7 +893,7 @@ def test_load_chain_trains_a_prefetcher_stream():
     def body(machine):
         region = machine.address_space.alloc_lines(400, "seq")
         _walk_chains(machine, [region.line(i) for i in range(400)], 8,
-                     ("mul", "add"), ("cmp",))
+                     lambda n: lookup_ops(0, n))
     ex = _assert_modes_agree(body)
     c = ex.cpu.counters
     assert ex.cpu.hierarchy.prefetcher.n_trained >= 1
@@ -966,7 +942,7 @@ def test_load_chain_cycle_ticks_exact_past_2_to_52():
         c.cycle_ticks = c.stall_ticks = start
         for _ in range(3):
             _walk_chains(machine, [region.line(i) for i in range(16)], 8,
-                         ("mul", "add"), ("cmp",))
+                         lambda n: lookup_ops(0, n))
         added[machine.exec_mode] = (c.cycle_ticks - start,
                                     c.stall_ticks - start)
     _assert_modes_agree(body, config)
@@ -977,10 +953,10 @@ def test_load_chain_cycle_ticks_exact_past_2_to_52():
 
 
 def test_load_chain_empty():
-    """An empty chain charges nothing, not even its compute ops."""
+    """An empty chain with zero-count ops charges nothing."""
     def body(machine):
-        machine.load_chain([], ("mul", "add"), ("cmp",))
-        machine.load_chain((), (), PROBE_OPS)
+        machine.load_chain([])
+        machine.load_chain((), lookup_ops(0, 0))
     ex = _assert_modes_agree(body)
     assert ex.chain_walks == ex.chain_loads == 0
     assert ex.cpu.counters.instructions == 0
@@ -988,8 +964,9 @@ def test_load_chain_empty():
 
 @pytest.mark.parametrize("exit_at", (1, 2, None))
 def test_bloom_probe_chain_stops_at_first_unset_bit(exit_at):
-    """A bloom probe charges the hashes up to and including the first
-    unset bit (``exit_at``; None when every bit is set)."""
+    """A bloom probe walks the hashes up to and including the first
+    unset bit (``exit_at``; None when every bit is set), and its chain
+    charges one hash per load."""
     answers = {}
 
     def first_unset(bloom, key):
@@ -1005,7 +982,9 @@ def test_bloom_probe_chain_stops_at_first_unset_bit(exit_at):
         key = next(k for k in range(1, 10 ** 5)
                    if first_unset(bloom, k) == exit_at)
         machine.reset_measurements()
-        answers[machine.exec_mode] = bloom.maybe_contains(key)
+        addrs = []
+        answers[machine.exec_mode] = bloom.probe(key, addrs)
+        machine.load_chain(addrs, lookup_ops(0, len(addrs)))
     ex = _assert_modes_agree(body)
     assert answers["reference"] == answers["batched"] == (exit_at is None)
     probes = exit_at or 2
@@ -1014,21 +993,35 @@ def test_bloom_probe_chain_stops_at_first_unset_bit(exit_at):
 
 
 def test_sstable_get_charges_the_chain_then_the_value():
-    """A hit charges its probe chain, then the value bytes; a miss that
-    passes the bloom filter charges the whole chain."""
+    """An LSM get that hits a run charges one chain — bloom probes,
+    then the run's search — and then the value bytes; a miss that
+    passes the bloom filter charges its whole chain."""
+    chains = {}
+
     def body(machine):
-        table = SSTable(machine, [(k, f"v{k}") for k in range(0, 400, 2)],
-                        value_bytes=64)
-        bloom = table.bloom
+        store = LsmStore(machine, value_bytes=64, memtable_entries=1000)
+        for key in range(0, 400, 2):
+            store.put(key, f"v{key}")
+        store.flush()
+        bloom = store.sstables[0].bloom
         absent = next(k for k in range(1, 10 ** 5, 2)
                       if all(p in bloom._bits for p in bloom._positions(k)))
         machine.reset_measurements()
-        assert table.get(124) == "v124"
-        assert table.get(absent) is None
+        ex = machine.exec
+        before = (getattr(ex, "chain_walks", 0), getattr(ex, "chain_loads", 0))
+        assert store.get(124) == "v124"
+        assert store.get(absent) is None
+        chains[machine.exec_mode] = (
+            getattr(ex, "chain_walks", 0) - before[0],
+            getattr(ex, "chain_loads", 0) - before[1])
     ex = _assert_modes_agree(body)
-    # Two bloom chains of two probes each, then two binary searches.
-    assert ex.chain_walks == 4
+    walks, loads = chains["batched"]
+    # One chain per get, each with a two-probe bloom prefix.
+    assert walks == 2
     assert ex.cpu.counters.n_mul == 4
+    # Beyond the chains: 60 engine-state loads per get, and the hit's
+    # 64 value bytes as eight word loads.
+    assert ex.cpu.counters.n_load_inst == loads + 2 * 60 + 8
 
 
 _KV_PROGRAMS = st.lists(st.one_of(
@@ -1090,18 +1083,20 @@ def test_generated_btree_and_lsm_programs(program):
 
 
 #: ``(chain_walks, chain_loads)`` of the seeded kv serve run below.
-KV_CHAIN_REGIMES = (12554, 42814)
+KV_CHAIN_REGIMES = (3814, 48855)
 
 
 def test_chain_regimes_on_kv_serve_run(monkeypatch):
-    """The serve ``kv`` shape: every B-tree binary search, SSTable
-    search and bloom probe goes through ``load_chain``, so those
-    callers make no ``Machine.load`` call at all."""
+    """The serve ``kv`` shape: every B-tree descent and every LSM get
+    — memtable path, bloom probes and run searches — is one
+    ``load_chain``, so the lookup paths make no ``Machine.load`` call
+    at all."""
     from repro.serve import ServeConfig, run_serve
 
-    routed = {BTree._binary_search.__code__,
-              BTree._binary_search_left.__code__,
-              SSTable.get.__code__, BloomFilter.maybe_contains.__code__}
+    routed = {fn.__code__ for fn in (
+        BTree.walk, BTree._probes, BTree._lookup, BTree.search,
+        BTree.update_payload, BTree.insert, BTree._leftmost_leaf,
+        BloomFilter.probe, SSTable.probe, LsmStore.get)}
     executors = []
     stray = []
     init = BatchExecutor.__init__

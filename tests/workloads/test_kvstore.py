@@ -17,29 +17,34 @@ class TestBloomFilter:
         bloom = BloomFilter(machine, 100)
         for key in range(0, 200, 2):
             bloom.add(key)
-        assert all(bloom.maybe_contains(k) for k in range(0, 200, 2))
+        assert all(bloom.probe(k, []) for k in range(0, 200, 2))
 
     def test_mostly_rejects_absent(self, machine):
         bloom = BloomFilter(machine, 1000)
         for key in range(1000):
             bloom.add(key)
         false_positives = sum(
-            1 for k in range(10_000, 11_000) if bloom.maybe_contains(k)
+            1 for k in range(10_000, 11_000) if bloom.probe(k, [])
         )
         assert false_positives < 100  # <10% at 10 bits/key
 
-    def test_charges_loads(self, machine):
+    def test_probe_charges_nothing(self, machine):
+        """The probe only lists its loads; the lookup charges them."""
         bloom = BloomFilter(machine, 10)
         machine.reset_measurements()
-        bloom.maybe_contains(5)
-        assert machine.pmu.counters.n_load_inst >= 1
+        addrs = []
+        bloom.probe(5, addrs)
+        assert len(addrs) >= 1
+        assert machine.pmu.counters.instructions == 0
 
 
 class TestSSTable:
-    def test_get(self, machine):
+    def test_probe(self, machine):
         table = SSTable(machine, [(k, f"v{k}") for k in range(0, 100, 2)], 64)
-        assert table.get(42) == "v42"
-        assert table.get(43) is None
+        index, hashes = table.probe(42, [])
+        assert hashes == 2
+        assert table.read_value(index) == "v42"
+        assert table.probe(43, [])[0] == -1
 
     def test_scan(self, machine):
         table = SSTable(machine, [(k, k) for k in range(50)], 64)
