@@ -18,7 +18,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.coordinator import DEGRADED_PARTIAL, ClusterCoordinator
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.report import (
     CLUSTER_SCHEMA_VERSION,
     build_cluster_report,
@@ -44,6 +44,7 @@ from repro.db.sharding import (
 from repro.micro.measurement import measure_background
 from repro.obs import Tracer
 from repro.seeding import derive_seed, require_seed
+from repro.serve.request import DEGRADED_PARTIAL
 from repro.sim.network import NetworkModel
 from repro.workloads.tpch import TpchData
 

@@ -1,8 +1,10 @@
 """The cluster coordinator: a scatter-gather discrete-event engine.
 
-One global event heap keyed ``(time, seq)`` drives the whole cluster
-(the same two-heap discipline as :mod:`repro.serve.loop`, collapsed to
-one heap whose events carry their kind).  Five event kinds:
+The coordinator runs on :class:`~repro.serve.loop.EventKernel`, the
+heap and request lifecycle it shares with the serve loop: one heap
+keyed ``(time, 0, seq)`` drives the whole cluster, and every request
+retires onto the same :class:`~repro.serve.request.RequestLedger` and
+is dropped with its sub-requests and attempts.  Six event kinds:
 
 ``arrival``    a client issues a query (driver-generated, closed- or
                open-loop); the coordinator scatters one sub-request per
@@ -36,21 +38,22 @@ request carries no reason and classifies useful.
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.db.planner import Aggregate, Limit
 from repro.db.sharding import merge_partials, shard_scan
-from repro.errors import ClusterError
 from repro.seeding import derive_seed, seeded_rng
+from repro.serve.loop import EventKernel
 from repro.serve.report import percentile
-from repro.serve.request import COMPLETED, FAILED, SHED_DEGRADED
+from repro.serve.request import (
+    COMPLETED,
+    DEGRADED_PARTIAL,
+    FAILED,
+    Request,
+    RequestLedger,
+)
 from repro.sim.network import DELIVERED
-
-#: Terminal state of a request answered from a strict subset of its
-#: shards (a shard was unreachable and ``allow_partial`` let the
-#: coordinator degrade instead of failing).
-DEGRADED_PARTIAL = "degraded_partial"
 
 CATEGORY_EXEC = "cluster.exec"
 CATEGORY_NET = "cluster.net"
@@ -102,68 +105,49 @@ class SubRequest:
         self.pending_dispatch = False
 
 
-class ClusterRequest:
-    """One client query, scattered over every shard."""
+@dataclass
+class ClusterRequest(Request):
+    """One client query: the shared request fields plus its
+    scatter-gather state."""
 
-    __slots__ = ("request_id", "tenant", "client", "job", "arrival_s",
-                 "state", "finish_s", "subreqs", "partials", "pending",
-                 "result")
-
-    def __init__(self, request_id, tenant, client, job, arrival_s):
-        self.request_id = request_id
-        self.tenant = tenant
-        self.client = client
-        self.job = job
-        self.arrival_s = arrival_s
-        self.state: Optional[str] = None
-        self.finish_s: Optional[float] = None
-        self.subreqs: list[SubRequest] = []
-        self.partials: dict[int, tuple] = {}
-        self.pending = 0
-        self.result: Optional[tuple] = None
-
-    @property
-    def latency_s(self) -> float:
-        return self.finish_s - self.arrival_s
+    subreqs: list = field(default_factory=list)
+    #: Winning partial row per shard.
+    partials: dict = field(default_factory=dict)
+    #: Shards neither answered nor given up yet.
+    pending: int = 0
+    #: The merged answer of a delivered request.
+    result: Optional[tuple] = None
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(EventKernel):
     """Scatter-gather engine over N nodes (see module docstring)."""
+
+    request_type = ClusterRequest
 
     def __init__(self, config, machine, nodes, network, shard_map, specs,
                  driver, seed, injector=None, breaker=None):
+        super().__init__(machine, driver, breaker,
+                         config.degrade_keep_tenants)
         self.config = config
-        self.machine = machine
         self.nodes = nodes
         self.network = network
         self.shard_map = shard_map
         self.specs = specs
-        self.driver = driver
         self.seed = seed
         self.injector = injector
-        self.breaker = breaker
         self._merge_base = machine.address_space.alloc(
             4096, label="cluster/merge").base
-        self.requests: list[ClusterRequest] = []
         #: Waste reason per losing attempt id; winners are absent.
         self.attempt_outcomes: dict[str, str] = {}
         #: Completed sub-request latencies (hedge-delay quantile input).
         self._samples: list[float] = []
-        self._heap: list = []
-        self._seq = 0
         self.subreqs_sent = 0
         self.hedges = 0
         self.hedge_wins = 0
         self.failovers = 0
         self.timeouts = 0
-        self.shed_degraded = 0
-        self.events = 0
 
     # ------------------------------------------------------------ plumbing
-
-    def _push(self, t: float, kind: str, payload) -> None:
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-        self._seq += 1
 
     def _advance(self, machine, t: float) -> None:
         """Advance a machine's clock to ``t``, charging the gap as idle
@@ -171,14 +155,6 @@ class ClusterCoordinator:
         as useful system cost, never as fault waste)."""
         if t > machine.time_s:
             machine.idle(t - machine.time_s)
-
-    def _degraded(self, now: float) -> bool:
-        return self.breaker is not None and self.breaker.degraded(now)
-
-    def _terminal(self, request: ClusterRequest, now: float) -> None:
-        nxt = self.driver.on_terminal(request.client, now)
-        if nxt is not None:
-            self._push(nxt[0], "arrival", (request.client, nxt[1]))
 
     # ------------------------------------------------------------ dispatch
 
@@ -218,22 +194,8 @@ class ClusterCoordinator:
             self._push(t + delay, "hedge", sub)
 
     def _handle_arrival(self, t: float, payload) -> None:
-        client, job = payload
-        request = ClusterRequest(
-            request_id=len(self.requests),
-            tenant=self.driver.tenant_of(client),
-            client=client,
-            job=job,
-            arrival_s=t,
-        )
-        self.requests.append(request)
-        if self._degraded(t) and (
-            client % self.driver.tenants >= self.config.degrade_keep_tenants
-        ):
-            request.state = SHED_DEGRADED
-            request.finish_s = t
-            self.shed_degraded += 1
-            self._terminal(request, t)
+        request = self._issue(t, *payload)
+        if request is None:
             return
         for shard in range(self.shard_map.n_shards):
             request.subreqs.append(SubRequest(
@@ -435,28 +397,16 @@ class ClusterCoordinator:
 
     # ------------------------------------------------------------ main loop
 
-    def run(self) -> list[ClusterRequest]:
-        entries = self.driver.initial_arrival_entries()
-        self._heap = [(t, seq, "arrival", (client, job))
-                      for t, seq, client, job in entries]
-        heapq.heapify(self._heap)
-        self._seq = len(entries)
-        handlers = {
+    def run(self) -> RequestLedger:
+        """Run every request to a terminal state; returns the ledger."""
+        self._run_events({
             "arrival": self._handle_arrival,
             "node_recv": self._handle_node_recv,
             "coord_recv": self._handle_coord_recv,
             "timeout": self._handle_timeout,
             "dispatch": self._handle_dispatch,
             "hedge": self._handle_hedge,
-        }
-        while self._heap:
-            t, _seq, kind, payload = heapq.heappop(self._heap)
-            handler = handlers.get(kind)
-            if handler is None:
-                raise ClusterError(f"unknown cluster event kind {kind!r}")
-            handler(t, payload)
-            self.events += 1
-        self.machine.settle()
+        })
         for node in self.nodes:
             node.machine.settle()
-        return self.requests
+        return self.ledger

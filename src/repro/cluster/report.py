@@ -21,7 +21,8 @@ lines), with the same two properties, cluster-wide:
 
 from __future__ import annotations
 
-from repro.cluster.coordinator import DEGRADED_PARTIAL, ClusterCoordinator
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.fold import left_sum
 from repro.serve.loop import BREAKER_FIELDS, RUN_FIELDS
 from repro.serve.report import (
     counts_line,
@@ -35,7 +36,12 @@ from repro.serve.report import (
     state_counts,
     waste_line,
 )
-from repro.serve.request import COMPLETED, FAILED, SHED_DEGRADED
+from repro.serve.request import (
+    COMPLETED,
+    DEGRADED_PARTIAL,
+    FAILED,
+    SHED_DEGRADED,
+)
 
 #: Version stamp on every cluster report.
 CLUSTER_SCHEMA_VERSION = 1
@@ -66,20 +72,20 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
     """Assemble the cluster run's JSON report.
 
     ``traces`` maps machine name ("coord", "node0", ...) to that
-    machine's :class:`~repro.obs.span.Trace`.
+    machine's :class:`~repro.obs.span.Trace`.  Per-request figures are
+    read from ``coordinator.ledger`` in request-id order, as
+    :func:`~repro.serve.report.build_report` reads them.
     """
-    requests = coordinator.requests
-    delivered = [r for r in requests if r.state in DELIVERED_STATES]
-    latencies = [r.latency_s for r in delivered]
+    ledger = coordinator.ledger
+    counts = state_counts(ledger.states(), CLUSTER_STATES)
+    latencies = ledger.latencies(DELIVERED_STATES)
+    n_delivered = len(latencies)
 
     outcomes = coordinator.attempt_outcomes
-    split = energy_split(traces,
-                         {r.request_id: r.state for r in requests}.get,
-                         DELIVERED_STATES,
+    split = energy_split(traces, ledger.state_of, DELIVERED_STATES,
                          lambda _req, attempt: outcomes.get(attempt))
-    node_active_sum_j = sum(traces[name].total_active_j
-                            for name in sorted(traces))
-    n_delivered = len(delivered)
+    node_active_sum_j = left_sum(traces[name].total_active_j
+                                 for name in sorted(traces))
     active_energy_j = split["useful_j"] + split["wasted_j"]
     energy_per_query_j = (active_energy_j / n_delivered
                           if n_delivered else None)
@@ -107,8 +113,7 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
             "net_bytes_per_s", "net_payload_factor", "subreq_timeout_s",
             "failover_attempts", "failover_backoff_s", "hedge_quantile",
             "hedge_min_samples", "allow_partial", *BREAKER_FIELDS),
-        "counts": state_counts([r.state for r in requests],
-                               CLUSTER_STATES),
+        "counts": counts,
         "latency_s": latency_summary(latencies),
         "subrequests": {
             "sent": coordinator.subreqs_sent,
@@ -144,7 +149,7 @@ def build_cluster_report(config, coordinator: ClusterCoordinator,
                                 if injector is not None else {}),
             "breaker_trips": (coordinator.breaker.trips
                               if coordinator.breaker is not None else 0),
-            "shed_degraded": coordinator.shed_degraded,
+            "shed_degraded": counts[SHED_DEGRADED],
         },
         "clock": {
             "makespan_s": makespan_s,

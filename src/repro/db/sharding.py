@@ -30,6 +30,7 @@ from typing import Sequence
 from repro.db.operators import AggSpec
 from repro.db.planner import Aggregate, Logical, Scan
 from repro.errors import PlanError
+from repro.fold import left_sum
 from repro.seeding import stable_hash
 
 #: Aggregate kinds whose per-shard partials merge exactly.
@@ -97,12 +98,7 @@ def merge_partials(aggs: Sequence[AggSpec],
         if not values:
             merged.append(0 if spec.kind == "count" else None)
         elif spec.kind in ("count", "sum"):
-            # A left fold from 0, not builtin sum: 3.12 compensates a
-            # float sum (Neumaier), which would change the bits.
-            total = 0
-            for value in values:
-                total += value
-            merged.append(total)
+            merged.append(left_sum(values))
         elif spec.kind == "min":
             merged.append(min(values))
         elif spec.kind == "max":

@@ -54,11 +54,6 @@ class ServeError(ReproError):
     that is not queued, releasing a slot twice, ...)."""
 
 
-class DeadlineExceeded(ServeError):
-    """A request ran past its execution deadline; the work it consumed
-    is accounted as wasted energy."""
-
-
 class FaultError(ReproError):
     """An injected fault surfaced to the execution layer.  Raised only
     when a :class:`~repro.faults.FaultInjector` is installed; a plain

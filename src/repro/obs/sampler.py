@@ -45,6 +45,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import ConfigError, TraceError
+from repro.fold import left_sum
 from repro.obs.metrics import Histogram
 from repro.obs.span import domain_energy_j
 from repro.seeding import seeded_rng
@@ -346,7 +347,7 @@ class TelemetrySummary:
     def total_active_j(self) -> float:
         """Measured Active energy of the whole window (exact sum of the
         meta-partition — the same partition the split reports)."""
-        return sum(active for _, active in self._metas())
+        return left_sum(active for _, active in self._metas())
 
     def active_energy_by_meta(self, key: str) -> dict:
         """Partition Active energy by one inherited meta key."""
@@ -377,7 +378,8 @@ class TelemetrySummary:
         """``(active_energy_by_meta(key), total_active_j,
         active_energy_by_request())`` from one pass over the meta rows,
         each fold adding the same operands in the same order as on its
-        own (``sum`` consumes the pass, so the total is its float sum).
+        own (:func:`~repro.fold.left_sum` consumes the pass, so the total
+        is its float sum).
 
         The request fold adds each request's joules from 0.0 into an
         id-indexed column, with a presence byte per id, so it builds no
@@ -403,7 +405,7 @@ class TelemetrySummary:
                     others[rid] = others.get(rid, 0.0) + active
                 yield active
 
-        total = sum(actives())
+        total = left_sum(actives())
         dense = zip(compress(range(n), seen), compress(joules, seen))
         by_request = heapq.merge(
             dense, sorted(others.items(), key=itemgetter(0)),

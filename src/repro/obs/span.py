@@ -26,6 +26,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.fold import left_sum
 from repro.sim.pmu import PmuCounters
 
 #: RAPL domain names — must match :mod:`repro.micro.measurement`.
@@ -158,7 +159,7 @@ class Trace:
                 - self._background_w() * span.self_time_s)
 
     def inclusive_active_j(self, span: Span) -> float:
-        return sum(self.active_energy_j(s) for s in span.walk())
+        return left_sum(self.active_energy_j(s) for s in span.walk())
 
     @property
     def total_active_j(self) -> float:

@@ -86,15 +86,17 @@ class Driver:
         raise NotImplementedError
 
     def initial_arrival_entries(self) -> list[tuple]:
-        """The initial arrivals as ready-made event-heap entries
-        ``(arrival_s, seq, client_index, job)``, generated in bulk.
+        """The initial arrivals as ready-made
+        :class:`~repro.serve.loop.EventKernel` heap entries
+        ``(arrival_s, 0, seq, "arrival", (client_index, job))``,
+        generated in bulk.
 
         The list is sorted by ``(arrival_s, seq)`` with ``seq`` numbered
-        in arrival order, so it is already a valid heap and the server
+        in arrival order, so it is already a valid heap and the kernel
         can adopt it wholesale instead of pushing one entry at a time.
         """
         return [
-            (t, seq, client, job)
+            (t, 0, seq, "arrival", (client, job))
             for seq, (t, client, job) in enumerate(self.initial_arrivals())
         ]
 

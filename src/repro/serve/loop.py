@@ -2,33 +2,34 @@
 
 :class:`QueryServer` is a deterministic discrete-event simulator over
 one :class:`~repro.db.engine.Database` and one
-:class:`~repro.sim.cores.CoreSet`:
+:class:`~repro.sim.cores.CoreSet`, built on :class:`EventKernel` — the
+heap and request lifecycle it shares with
+:class:`~repro.cluster.coordinator.ClusterCoordinator`:
 
-* Arrivals live in a heap keyed on ``(time, sequence)``; the sequence
-  number makes ties deterministic.  The driver seeds the heap in bulk
-  (:meth:`~repro.serve.drivers.Driver.initial_arrival_entries`).
-* Busy cores live in a second heap keyed on ``(clock, core index)``
-  with lazy deletion: entries are pushed when a core turns busy and
-  after every quantum, and an entry is valid only while its core is
-  still busy at exactly that clock.  Selecting the next busy core is
-  O(log cores) instead of an O(cores) ``min`` scan, and the
-  force-dispatch clock is a monotone high-water mark instead of a
-  ``max`` recomputation.
-* The loop alternates between the two event kinds: if the next arrival
-  is no later than the earliest busy core's clock, the arrival is
-  processed (admission, then dispatch); otherwise that core runs one
-  *quantum* — up to ``quantum_rows`` units of the request's work,
-  preceded by a context switch charged on the machine.  Work iterators
-  that expose ``run_rows(n)`` execute the whole quantum as one batched
-  call (micro-ops flow through ``machine.exec`` in bulk); plain
-  iterators are pulled row by row.  Both paths charge identical
-  micro-ops, so reports stay bit-identical across engines and modes.
+* One heap holds every event, keyed ``(t, order, tiebreak)``.  Arrivals
+  (seeded in bulk by
+  :meth:`~repro.serve.drivers.Driver.initial_arrival_entries`) and
+  retries use order 0 and tie on their push sequence; a busy core's
+  next quantum is ``(clock, 1, core index)``.  So an arrival runs
+  before a quantum at the same time, and cores tie on
+  ``(clock, index)``.  A core's quantum entry is pushed when it turns
+  busy and after each quantum; one whose core went idle or whose clock
+  moved on is stale and dropped when it surfaces.
+* An arrival goes through admission, then dispatch; a quantum runs up
+  to ``quantum_rows`` units of the request's work, preceded by a
+  context switch charged on the machine.  Work iterators that expose
+  ``run_rows(n)`` execute the whole quantum as one batched call
+  (micro-ops flow through ``machine.exec`` in bulk); plain iterators
+  are pulled row by row.  Both paths charge identical micro-ops, so
+  reports stay bit-identical across engines and modes.
 * Multiprogramming: each core round-robins a run list of up to ``mpl``
   requests, each bound to a distinct execution slot (its own temp
   arena), so interleaved plans never trample each other's state.
 * When every core is idle and the queue is empty, the gap to the next
   arrival is charged as package idle time — exactly the §2.6 notion of
-  background energy the Active-energy subtraction removes.
+  background energy the Active-energy subtraction removes.  Should the
+  heap run dry with requests still queued, they are force-dispatched at
+  the latest core clock.
 * A request is an object only while in flight.  At its terminal state
   it retires into the :class:`~repro.serve.request.RequestLedger`'s
   columns and is dropped with its work iterator, so memory grows by a
@@ -48,7 +49,7 @@ from typing import Optional
 
 from repro.config import intel_i7_4790
 from repro.db.engine import Database
-from repro.errors import ConfigError, DeadlineExceeded, FaultError
+from repro.errors import ConfigError, FaultError
 from repro.faults import FaultInjector, FaultPlan
 from repro.seeding import derive_seed
 from repro.serve.admission import AdmissionController
@@ -64,7 +65,6 @@ from repro.serve.request import (
     DEADLINE_EXCEEDED,
     FAILED,
     SHED_DEGRADED,
-    JobTemplate,
     Request,
     RequestLedger,
 )
@@ -215,6 +215,113 @@ class RunConfig:
         )
 
 
+class EventKernel:
+    """The discrete-event core :class:`QueryServer` and the cluster
+    coordinator share: one heap, and the request lifecycle around it.
+
+    Heap entries are ``(t, order, tiebreak, kind, payload)``.  Arrivals
+    and cluster events use ``order`` 0 and break ties by push sequence,
+    so their payloads are never compared; a serve quantum uses order 1
+    with its core's index, so at equal times an arrival runs first and
+    cores tie on ``(clock, index)``.  Subclasses map each ``kind`` to a
+    handler ``handler(t, payload)``.
+
+    The lifecycle: :meth:`_issue` numbers a request by the ledger's
+    length, opens its row and sheds it when the breaker's degraded mode
+    drops its tenant; :meth:`_terminal` retires it onto the ledger,
+    counts it on the timeline and lets the driver reissue its client.
+    """
+
+    #: What :meth:`_issue` builds; every request is this type or a
+    #: subclass of it.
+    request_type = Request
+    #: Execution deadline stamped on every issued request.
+    deadline_s: Optional[float] = None
+
+    def __init__(self, machine: Machine, driver: Driver,
+                 breaker: Optional[CircuitBreaker],
+                 degrade_keep_tenants: int):
+        self.machine = machine
+        self.driver = driver
+        self.breaker = breaker
+        self.degrade_keep_tenants = degrade_keep_tenants
+        #: Optional :class:`~repro.obs.timeline.TimelineRecorder` fed
+        #: lifecycle events (admissions, terminals, queue depth).
+        self.timeline = None
+        #: What the report reads of every request ever issued, by id.
+        #: Requests themselves are referenced only while in flight (from
+        #: the heap, a queue or a run list) and are dropped when they
+        #: retire here.
+        self.ledger = RequestLedger()
+        self._heap: list = []
+        self._seq = 0
+        #: Events handled (stale quantum entries included).
+        self.events = 0
+
+    def _push(self, t: float, kind: str, payload) -> None:
+        heapq.heappush(self._heap, (t, 0, self._seq, kind, payload))
+        self._seq += 1
+
+    def _run_events(self, handlers: dict) -> None:
+        """Seed the heap with the driver's initial arrivals, handle every
+        event in key order until :meth:`_stalled` adds none, then settle
+        the machine."""
+        heap = self._heap = self.driver.initial_arrival_entries()
+        heapq.heapify(heap)
+        self._seq = len(heap)
+        pop = heapq.heappop
+        while heap or self._stalled():
+            t, _order, _tiebreak, kind, payload = pop(heap)
+            handlers[kind](t, payload)
+            self.events += 1
+        self.machine.settle()
+
+    def _stalled(self) -> bool:
+        """Called when the heap is empty: push any event still owed and
+        return True, or return False to end the run."""
+        return False
+
+    def _issue(self, t: float, client: int, job) -> Optional[Request]:
+        """A new request from ``client``, with its ledger row opened, or
+        None when degraded mode shed it."""
+        request = self.request_type(
+            request_id=len(self.ledger),
+            tenant=self.driver.tenant_of(client),
+            client=client,
+            job=job,
+            arrival_s=t,
+            deadline_s=self.deadline_s,
+        )
+        self.ledger.open(request)
+        if self._sheds(client, t):
+            self._shed_degraded(request, t)
+            return None
+        return request
+
+    def _degraded(self, now: float) -> bool:
+        return self.breaker is not None and self.breaker.degraded(now)
+
+    def _sheds(self, client: int, now: float) -> bool:
+        """True in degraded mode when ``client``'s tenant index (lower =
+        higher priority) is not among the ones kept."""
+        return (self._degraded(now)
+                and client % self.driver.tenants >= self.degrade_keep_tenants)
+
+    def _shed_degraded(self, request: Request, now: float) -> None:
+        request.state = SHED_DEGRADED
+        request.finish_s = now
+        self.machine.metrics.counter("serve.shed_degraded").inc()
+        self._terminal(request, now)
+
+    def _terminal(self, request: Request, now: float) -> None:
+        self.ledger.retire(request)
+        if self.timeline is not None:
+            self.timeline.count(request.state)
+        nxt = self.driver.on_terminal(request.client, now)
+        if nxt is not None:
+            self._push(nxt[0], "arrival", (request.client, nxt[1]))
+
+
 @dataclass
 class ServeConfig(RunConfig):
     """Everything that parameterises one serve run."""
@@ -343,7 +450,7 @@ class ServeConfig(RunConfig):
         return self
 
 
-class QueryServer:
+class QueryServer(EventKernel):
     """Deterministic discrete-event serving loop (see module docstring)."""
 
     def __init__(self, db: Database, core_set: CoreSet,
@@ -354,133 +461,70 @@ class QueryServer:
                  breaker: Optional[CircuitBreaker] = None,
                  deadline_s: Optional[float] = None,
                  degrade_keep_tenants: int = 1):
+        super().__init__(db.machine, driver, breaker, degrade_keep_tenants)
         self.db = db
-        self.machine = db.machine
         self.core_set = core_set
         self.admission = admission
         self.policy = policy
-        self.driver = driver
         self.mpl = mpl
         self.quantum_rows = quantum_rows
         self.injector = injector
         self.retry = retry
-        self.breaker = breaker
         self.deadline_s = deadline_s
-        self.degrade_keep_tenants = degrade_keep_tenants
         #: Scheduling fallback while the breaker is open: the cheapest
         #: policy (no cost model, no locality scan).
         self._degraded_policy = FifoPolicy()
-        #: Optional :class:`~repro.obs.timeline.TimelineRecorder` fed
-        #: serve events (admissions, terminals, queue depth samples).
-        self.timeline = None
-        #: What the report reads of every request ever issued, by id.
-        #: Requests themselves are referenced only while in flight (from
-        #: the queue, a run list or the arrival heap) and are dropped
-        #: when they retire here.
-        self.ledger = RequestLedger()
         #: Tables of the most recently dispatched request (locality key).
         self.hot_tables: frozenset[str] = frozenset()
-        #: Heap payload is a JobTemplate (fresh arrival) or a Request
-        #: re-arriving after retry backoff; seq breaks every tie so the
-        #: payloads themselves are never compared.
-        self._heap: list = []
-        self._seq = 0
         self._free_slots = {
             core.index: list(range(mpl)) for core in core_set.cores
         }
-        #: Busy-core heap of ``(clock_s, core_index)`` with lazy
-        #: deletion: an entry is valid only while the core has a run
-        #: list and its clock still equals the entry's.
-        self._core_heap: list = []
         #: Monotone high-water mark over all core clocks (force-dispatch
         #: time); core clocks never move backwards.
         self._clock_hwm = 0.0
         #: Total quanta executed (reported as ``clock.quanta``).
         self.quanta = 0
 
-    def _degraded(self, now: float) -> bool:
-        return self.breaker is not None and self.breaker.degraded(now)
-
-    def _tenant_priority(self, client: int) -> int:
-        """Tenant index of a client; lower = higher priority when the
-        breaker's degraded mode sheds tenants."""
-        return client % self.driver.tenants
-
     # ------------------------------------------------------------ arrivals
-
-    def _push_arrival(self, t: float, client: int, job: JobTemplate) -> None:
-        heapq.heappush(self._heap, (t, self._seq, client, job))
-        self._seq += 1
-
-    def _client_terminal(self, request: Request, now: float) -> None:
-        self.ledger.retire(request)
-        if self.timeline is not None:
-            self.timeline.count(request.state)
-        nxt = self.driver.on_terminal(request.client, now)
-        if nxt is not None:
-            self._push_arrival(nxt[0], request.client, nxt[1])
 
     def _drain_shed(self) -> None:
         while self.admission.shed:
             request = self.admission.shed.pop(0)
-            self._client_terminal(request, request.finish_s)
+            self._terminal(request, request.finish_s)
 
-    def _shed_degraded(self, request: Request, now: float) -> None:
-        request.state = SHED_DEGRADED
-        request.finish_s = now
-        self.machine.metrics.counter("serve.shed_degraded").inc()
-        self._client_terminal(request, now)
-
-    def _process_arrival(self) -> None:
-        t, _seq, client, payload = heapq.heappop(self._heap)
+    def _quiesce(self, t: float) -> None:
+        """An arrival into an idle server: charge the gap as idle."""
         if not self.admission.queue and not any(
             core.run_list for core in self.core_set.cores
         ):
             self.core_set.quiesce_until(t)
             if t > self._clock_hwm:
                 self._clock_hwm = t
-        if isinstance(payload, Request):
-            # A failed request re-arriving after its retry backoff.
-            request = payload
-            if self._degraded(t) and (
-                self._tenant_priority(client) >= self.degrade_keep_tenants
-            ):
-                self._shed_degraded(request, t)
-            else:
-                try:
-                    request.check_deadline(t)
-                except DeadlineExceeded:
-                    self._mark_deadline_exceeded(request, t)
-                else:
-                    admitted = self.admission.offer(request, t, record=False)
-                    if admitted and self.timeline is not None:
-                        self.timeline.count("admitted")
-                    self._drain_shed()
-                    if not admitted:
-                        self._client_terminal(request, t)
-            self._assign(t)
-            return
-        request = Request(
-            request_id=len(self.ledger),
-            tenant=self.driver.tenant_of(client),
-            client=client,
-            job=payload,
-            arrival_s=t,
-            deadline_s=self.deadline_s,
-        )
-        self.ledger.open(request)
-        if self._degraded(t) and (
-            self._tenant_priority(client) >= self.degrade_keep_tenants
-        ):
-            self._shed_degraded(request, t)
-            self._assign(t)
-            return
-        admitted = self.admission.offer(request, t)
+
+    def _offer(self, request: Request, t: float, record: bool) -> None:
+        admitted = self.admission.offer(request, t, record=record)
         if admitted and self.timeline is not None:
             self.timeline.count("admitted")
         self._drain_shed()
         if not admitted:
-            self._client_terminal(request, t)
+            self._terminal(request, t)
+
+    def _on_arrival(self, t: float, payload) -> None:
+        self._quiesce(t)
+        request = self._issue(t, *payload)
+        if request is not None:
+            self._offer(request, t, record=True)
+        self._assign(t)
+
+    def _on_retry(self, t: float, request: Request) -> None:
+        """A failed request re-arriving after its retry backoff."""
+        self._quiesce(t)
+        if self._sheds(request.client, t):
+            self._shed_degraded(request, t)
+        elif request.past_deadline(t):
+            self._mark_deadline_exceeded(request, t)
+        else:
+            self._offer(request, t, record=False)
         self._assign(t)
 
     # ------------------------------------------------------------ dispatch
@@ -497,7 +541,11 @@ class QueryServer:
         self.machine.metrics.counter("serve.deadline_exceeded").inc()
         if self.breaker is not None:
             self.breaker.record(False, now)
-        self._client_terminal(request, now)
+        self._terminal(request, now)
+
+    def _push_quantum(self, core: Core) -> None:
+        heapq.heappush(self._heap, (core.clock_s, 1, core.index, "quantum",
+                                    core.index))
 
     def _assign(self, now: float) -> None:
         """Fill core run lists from the queue via the policy."""
@@ -518,9 +566,7 @@ class QueryServer:
             if request is None:
                 return
             self.admission.take(request, now)
-            try:
-                request.check_deadline(now)
-            except DeadlineExceeded:
+            if request.past_deadline(now):
                 # Expired while queued: abandon before burning a quantum.
                 self.admission.release(request)
                 self._mark_deadline_exceeded(request, now)
@@ -530,11 +576,11 @@ class QueryServer:
             if not core.run_list:
                 # The core sat idle until this dispatch; its next quantum
                 # cannot begin before the request exists.  Turning busy,
-                # it (re)enters the busy-core heap.
+                # it gets a quantum event.
                 core.clock_s = max(core.clock_s, now)
                 if core.clock_s > self._clock_hwm:
                     self._clock_hwm = core.clock_s
-                heapq.heappush(self._core_heap, (core.clock_s, core.index))
+                self._push_quantum(core)
             core.run_list.append(request)
             self.hot_tables = frozenset(request.job.tables)
 
@@ -551,16 +597,14 @@ class QueryServer:
 
     def _attempt_failed(self, request: Request, core: Core) -> None:
         """An injected fault killed the running attempt: free the
-        request's resources, then retry (after backoff, through the
-        arrival heap) or fail it for good."""
+        request's resources, then retry (after backoff, through a
+        retry event) or fail it for good."""
         self._release_core_slot(request, core)
         self.admission.release(request)
         request.failures += 1
         now = core.clock_s
         self.machine.metrics.counter("serve.attempt_failures").inc()
-        try:
-            request.check_deadline(now)
-        except DeadlineExceeded:
+        if request.past_deadline(now):
             # The attempt failed *and* the deadline has already passed:
             # that is a deadline miss, not a retry candidate.  Admitting
             # it would burn global retry budget (and double-count the
@@ -571,13 +615,12 @@ class QueryServer:
             self.breaker.record(False, now)
         if self.retry is not None and self.retry.admit_retry(request):
             request.prepare_retry()
-            self._push_arrival(now + self.retry.backoff_s(request),
-                               request.client, request)
+            self._push(now + self.retry.backoff_s(request), "retry", request)
         else:
             request.state = FAILED
             request.finish_s = now
             self.machine.metrics.counter("serve.failed").inc()
-            self._client_terminal(request, now)
+            self._terminal(request, now)
 
     def _run_quantum(self, core: Core) -> None:
         request = core.run_list.pop(0)
@@ -648,11 +691,9 @@ class QueryServer:
             self.admission.release(request)
             if self.breaker is not None:
                 self.breaker.record(True, core.clock_s)
-            self._client_terminal(request, core.clock_s)
+            self._terminal(request, core.clock_s)
             return
-        try:
-            request.check_deadline(core.clock_s)
-        except DeadlineExceeded:
+        if request.past_deadline(core.clock_s):
             # Past deadline mid-flight: abandon instead of finishing work
             # nobody is waiting for (its joules are already wasted).
             self._release_core_slot(request, core)
@@ -663,49 +704,28 @@ class QueryServer:
 
     # ------------------------------------------------------------ main loop
 
-    def _next_busy(self) -> Optional[Core]:
-        """Earliest busy core by ``(clock, index)`` via the lazy-deletion
-        heap; stale entries (core went idle, or its clock moved on) are
-        discarded as they surface."""
-        heap = self._core_heap
-        cores = self.core_set.cores
-        while heap:
-            t, index = heap[0]
-            core = cores[index]
-            if core.run_list and core.clock_s == t:
-                return core
-            heapq.heappop(heap)
-        return None
+    def _on_quantum(self, t: float, index: int) -> None:
+        core = self.core_set.cores[index]
+        if not core.run_list or core.clock_s != t:
+            return  # stale: the core went idle, or its clock moved on
+        self._run_quantum(core)
+        if core.clock_s > self._clock_hwm:
+            self._clock_hwm = core.clock_s
+        if core.run_list:
+            self._push_quantum(core)
+        self._assign(core.clock_s)
+
+    def _stalled(self) -> bool:
+        """Requests still queued with no event left (the policy declined
+        them): force-dispatch at the latest core clock."""
+        if self.admission.queue:
+            self._assign(self._clock_hwm)
+        return bool(self._heap)
 
     def run(self) -> RequestLedger:
         """Serve every arrival to a terminal state; returns the ledger."""
-        # The driver's entry list is sorted by (time, seq), which is
-        # already a valid heap — adopt it wholesale.
-        entries = self.driver.initial_arrival_entries()
-        heapq.heapify(entries)
-        self._heap = entries
-        self._seq = len(entries)
         self._clock_hwm = max(core.clock_s for core in self.core_set.cores)
-        heap = self._heap
-        while True:
-            core = self._next_busy()
-            if heap and (core is None or heap[0][0] <= core.clock_s):
-                self._process_arrival()
-            elif core is not None:
-                self._run_quantum(core)
-                if core.clock_s > self._clock_hwm:
-                    self._clock_hwm = core.clock_s
-                if core.run_list:
-                    heapq.heappush(self._core_heap,
-                                   (core.clock_s, core.index))
-                self._assign(core.clock_s)
-            elif self.admission.queue:
-                # Cores drained while requests still waited (e.g. the
-                # policy declined); force-dispatch at the latest clock.
-                self._assign(self._clock_hwm)
-                if not any(c.run_list for c in self.core_set.cores):
-                    break
-            else:
-                break
-        self.machine.settle()
+        self._run_events({"arrival": self._on_arrival,
+                          "retry": self._on_retry,
+                          "quantum": self._on_quantum})
         return self.ledger

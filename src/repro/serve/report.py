@@ -27,6 +27,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.fold import left_sum
 from repro.obs.sampler import fold_key
 from repro.obs.span import Trace
 from repro.serve.loop import (
@@ -77,7 +78,8 @@ def _summary(samples: list, unit: str) -> dict:
     The mean sums ``samples`` in the order given; then the list is
     sorted in place, so the percentiles need no second list."""
     out: dict = {"n": len(samples)}
-    out[f"mean_{unit}"] = (sum(samples) / len(samples)) if samples else None
+    out[f"mean_{unit}"] = (left_sum(samples) / len(samples)
+                           if samples else None)
     samples.sort()
     for p in PERCENTILES:
         out[f"p{p}_{unit}"] = _ranked(samples, p)
@@ -201,7 +203,7 @@ def build_report(config: ServeConfig, server: QueryServer,
     resilient = config.resilient
     states = TERMINAL_STATES if resilient else PLAIN_STATES
     counts = state_counts(ledger.states(), states)
-    latencies = ledger.completed_latencies()
+    latencies = ledger.latencies()
     n_completed = len(latencies)
     latency = latency_summary(latencies)
     del latencies
@@ -253,7 +255,7 @@ def build_report(config: ServeConfig, server: QueryServer,
             "total_active_j": total_active_j,
             "system_active_j": system_j,
             "tenant_active_j": tenant_j,
-            "check_sum_j": system_j + sum(tenant_j.values()),
+            "check_sum_j": system_j + left_sum(tenant_j.values()),
             "energy_per_query_j": energy_per_query_j,
             "edp_js": edp,
             "request_energy_j": request_energy_j,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterator, Optional
 
-from repro.errors import DeadlineExceeded, ServeError
+from repro.errors import ServeError
 
 # Lifecycle states.
 QUEUED = "queued"
@@ -42,6 +42,9 @@ SHED_DEGRADED = "shed_degraded"
 #: Terminal states a request can end in (reported per tenant).
 TERMINAL_STATES = (COMPLETED, REJECTED_QUEUE, REJECTED_QUOTA, SHED_TIMEOUT,
                    FAILED, DEADLINE_EXCEEDED, SHED_DEGRADED)
+#: A cluster request answered from a strict subset of its shards (a
+#: shard was unreachable and ``allow_partial`` let it degrade).
+DEGRADED_PARTIAL = "degraded_partial"
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,6 @@ class Request:
     _iter: Optional[Iterator] = field(default=None, repr=False)
 
     @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    @property
     def latency_s(self) -> Optional[float]:
         """Arrival-to-finish latency (None until completed)."""
         if self.finish_s is None:
@@ -105,27 +104,24 @@ class Request:
 
         The failed attempt's partial progress is discarded (its joules
         are already on the trace and will be classified as wasted); the
-        retry re-enters through the arrival heap and re-queues.
+        retry re-enters through the event heap and re-queues.
         """
         self.state = RETRY_WAIT
         self.slot = None
         self.rows = 0
         self._iter = None
 
-    def check_deadline(self, now: float) -> None:
-        """Raise :class:`~repro.errors.DeadlineExceeded` when ``now`` is
-        past this request's execution deadline (no-op without one)."""
-        if self.deadline_s is not None and now - self.arrival_s > self.deadline_s:
-            raise DeadlineExceeded(
-                f"request {self.request_id} exceeded its {self.deadline_s}s "
-                f"deadline ({now - self.arrival_s:.3f}s since arrival)"
-            )
+    def past_deadline(self, now: float) -> bool:
+        """True when ``now`` is past this request's execution deadline
+        (never without one)."""
+        return (self.deadline_s is not None
+                and now - self.arrival_s > self.deadline_s)
 
 
 #: Ledger state codes index this tuple; code -1 (a request still in
 #: flight) reads as None.
-_LEDGER_STATES = TERMINAL_STATES + (None,)
-_STATE_CODE = {state: code for code, state in enumerate(TERMINAL_STATES)}
+_LEDGER_STATES = TERMINAL_STATES + (DEGRADED_PARTIAL, None)
+_STATE_CODE = {state: code for code, state in enumerate(_LEDGER_STATES[:-1])}
 
 
 class RequestLedger:
@@ -147,7 +143,7 @@ class RequestLedger:
         self._tenant_index: dict[str, int] = {}
         #: Rows delivered by each tenant's completed requests.
         self.tenant_rows: list[int] = []
-        #: Index into ``TERMINAL_STATES``; -1 while in flight.
+        #: Index into ``_LEDGER_STATES``; -1 while in flight.
         self.state = array("b")
         #: ``finish_s - arrival_s`` (0.0 while in flight).
         self.latency_s = array("d")
@@ -194,10 +190,12 @@ class RequestLedger:
         """Every request's terminal state by id (None while in flight)."""
         return map(_LEDGER_STATES.__getitem__, self.state)
 
-    def completed_latencies(self) -> list:
-        """The completed requests' latencies, in id order."""
-        done = map(_STATE_CODE[COMPLETED].__eq__, self.state)
-        return list(compress(self.latency_s, done))
+    def latencies(self, states=(COMPLETED,)) -> list:
+        """The latencies of the requests that ended in ``states``, in id
+        order."""
+        codes = {_STATE_CODE[state] for state in states}
+        return list(compress(self.latency_s, map(codes.__contains__,
+                                                 self.state)))
 
     def by_tenant(self) -> dict:
         """``{tenant: (states, completed latencies)}``, each in id order,

@@ -1,6 +1,7 @@
 """End-to-end cluster tests: determinism, conservation, equivalence,
 failover, hedging, and partial-result degradation."""
 
+import gc
 import json
 
 import pytest
@@ -8,11 +9,13 @@ import pytest
 from repro import Machine, intel_i7_4790
 from repro.cluster import (
     ClusterConfig,
+    ClusterCoordinator,
     ShardMap,
     cluster_jobs,
     load_sharded,
     run_cluster,
 )
+from repro.cluster.coordinator import ClusterRequest, SubAttempt, SubRequest
 from repro.cluster.topology import CLUSTER_TABLES, ClusterNode
 from repro.db import Database, engine_profile
 from repro.faults import FaultPlan
@@ -153,13 +156,24 @@ class TestSingleNodeEquivalence:
 
 
 class TestResultCorrectness:
-    def test_scatter_gather_answers_match_unsharded_aggregates(self):
+    def test_scatter_gather_answers_match_unsharded_aggregates(
+            self, monkeypatch):
+        # Requests retire onto the ledger and are dropped, so each one is
+        # captured, with its merged result, as it finalizes.
+        finalized = []
+        finalize = ClusterCoordinator._finalize
+
+        def capture(coordinator, request, t):
+            finalize(coordinator, request, t)
+            finalized.append(request)
+
+        monkeypatch.setattr(ClusterCoordinator, "_finalize", capture)
         config = ClusterConfig(
             nodes=3, replication=2, clients=3, queries=6, tier="10MB",
             seed=5, subreq_timeout_s=10.0)
-        out: dict = {}
-        report = run_cluster(config, out)
+        report = run_cluster(config)
         assert report["counts"]["completed"] == config.queries
+        assert len(finalized) == config.queries
         data = TpchData(config.tier,
                         seed=derive_seed(config.seed, "cluster",
                                          "tpch-datagen"))
@@ -170,11 +184,26 @@ class TestResultCorrectness:
             rows = tables[table]
             expected[f"agg_{table}"] = (
                 len(rows), sum(row[index] for row in rows))
-        for request in out["coordinator"].requests:
+        for request in finalized:
             n, total = request.result
             want_n, want_total = expected[request.job.name]
             assert n == want_n
             assert total == pytest.approx(want_total, rel=1e-12)
+
+
+class TestRetention:
+    def test_no_request_outlives_the_run(self):
+        """Requests retire onto the ledger: once ``run_cluster`` returns,
+        no request, sub-request or attempt is alive, though the run's
+        coordinator still is."""
+        out: dict = {}
+        report = run_cluster(chaos_config(), out)
+        assert report["subrequests"]["failovers"] > 0
+        gc.collect()
+        alive = [obj for obj in gc.get_objects()
+                 if isinstance(obj, (ClusterRequest, SubRequest, SubAttempt))]
+        assert alive == []
+        assert len(out["coordinator"].ledger) == report["counts"]["issued"]
 
 
 class TestFailoverAndDegradation:
