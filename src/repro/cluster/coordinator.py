@@ -84,21 +84,25 @@ class SubAttempt:
 
 
 class SubRequest:
-    """One shard's slice of a scatter-gather request."""
+    """One shard's slice of a scatter-gather request.  Pointers run one
+    way (attempt, sub-request, request), so refcounting frees them."""
 
-    __slots__ = ("request", "shard", "replicas", "attempts", "next_replica",
-                 "satisfied", "failed", "winner", "dispatched_s", "hedged",
-                 "timed_out", "pending_dispatch")
+    __slots__ = ("request", "shard", "replicas", "n_attempts",
+                 "next_replica", "satisfied", "failed", "winner_id",
+                 "winner_hedge", "dispatched_s", "hedged", "timed_out",
+                 "pending_dispatch")
 
     def __init__(self, request, shard, replicas):
         self.request = request
         self.shard = shard
         self.replicas = replicas
-        self.attempts: list[SubAttempt] = []
+        self.n_attempts = 0
         self.next_replica = 0
         self.satisfied = False
         self.failed = False
-        self.winner: Optional[SubAttempt] = None
+        #: The winning attempt's id, and whether it was a hedge.
+        self.winner_id: Optional[str] = None
+        self.winner_hedge = False
         self.dispatched_s: Optional[float] = None
         self.hedged = False
         self.timed_out = 0
@@ -110,7 +114,6 @@ class ClusterRequest(Request):
     """One client query: the shared request fields plus its
     scatter-gather state."""
 
-    subreqs: list = field(default_factory=list)
     #: Winning partial row per shard.
     partials: dict = field(default_factory=dict)
     #: Shards neither answered nor given up yet.
@@ -163,9 +166,9 @@ class ClusterCoordinator(EventKernel):
         node = self.nodes[sub.replicas[sub.next_replica % len(sub.replicas)]]
         sub.next_replica += 1
         attempt_id = (f"r{request.request_id}.s{sub.shard}"
-                      f".a{len(sub.attempts)}")
+                      f".a{sub.n_attempts}")
         attempt = SubAttempt(attempt_id, sub, node, hedge, t)
-        sub.attempts.append(attempt)
+        sub.n_attempts += 1
         self.subreqs_sent += 1
         if sub.dispatched_s is None:
             sub.dispatched_s = t
@@ -185,7 +188,7 @@ class ClusterCoordinator(EventKernel):
         else:
             attempt.fate = status
         self._push(t + self.config.subreq_timeout_s, "timeout", attempt)
-        if (not hedge and len(sub.attempts) == 1
+        if (not hedge and sub.n_attempts == 1
                 and self.config.hedge_quantile is not None
                 and len(sub.replicas) > 1
                 and len(self._samples) >= self.config.hedge_min_samples):
@@ -197,11 +200,10 @@ class ClusterCoordinator(EventKernel):
         request = self._issue(t, *payload)
         if request is None:
             return
-        for shard in range(self.shard_map.n_shards):
-            request.subreqs.append(SubRequest(
-                request, shard, self.shard_map.replicas(shard)))
-        request.pending = len(request.subreqs)
-        for sub in request.subreqs:
+        subreqs = [SubRequest(request, shard, self.shard_map.replicas(shard))
+                   for shard in range(self.shard_map.n_shards)]
+        request.pending = len(subreqs)
+        for sub in subreqs:
             self._dispatch(sub, t, hedge=False)
 
     # ------------------------------------------------------------ node side
@@ -293,7 +295,7 @@ class ClusterCoordinator(EventKernel):
             return "timeout"
         if attempt.hedge:
             return "hedge_loser"
-        if sub.winner is not None and sub.winner.hedge:
+        if sub.winner_hedge:
             return "hedge_loser"
         return "failover_reexec"
 
@@ -317,7 +319,8 @@ class ClusterCoordinator(EventKernel):
                 attempt.attempt_id, self._loser_reason(attempt, sub))
             return
         sub.satisfied = True
-        sub.winner = attempt
+        sub.winner_id = attempt.attempt_id
+        sub.winner_hedge = attempt.hedge
         # The timeout handler may have provisionally judged this attempt
         # before its (late) response won the shard after all.
         self.attempt_outcomes.pop(attempt.attempt_id, None)
@@ -333,7 +336,7 @@ class ClusterCoordinator(EventKernel):
 
     def _finalize(self, request: ClusterRequest, t: float) -> None:
         spec = self.specs[request.job.name]
-        missing = len(request.subreqs) - len(request.partials)
+        missing = self.shard_map.n_shards - len(request.partials)
         if missing == 0 or (request.partials and self.config.allow_partial):
             self._advance(self.machine, t)
             with self.machine.tracer.span(
@@ -359,7 +362,7 @@ class ClusterCoordinator(EventKernel):
         request = sub.request
         if sub.satisfied or sub.failed:
             # Shard already resolved; this attempt lost unless it won.
-            if attempt is not sub.winner:
+            if attempt.attempt_id != sub.winner_id:
                 self.attempt_outcomes.setdefault(
                     attempt.attempt_id, self._loser_reason(attempt, sub))
             return
@@ -371,12 +374,12 @@ class ClusterCoordinator(EventKernel):
         # response from this very attempt ends up winning the shard.
         self.attempt_outcomes.setdefault(
             attempt.attempt_id, attempt.fate or "timeout")
-        if len(sub.attempts) < self.config.failover_attempts:
+        if sub.n_attempts < self.config.failover_attempts:
             self.failovers += 1
             sub.pending_dispatch = True
             self._push(t + self.config.failover_backoff_s, "dispatch", sub)
             return
-        if sub.timed_out >= len(sub.attempts) and not sub.pending_dispatch:
+        if sub.timed_out >= sub.n_attempts and not sub.pending_dispatch:
             # Every launched attempt timed out and no more are allowed:
             # the shard is unreachable.
             sub.failed = True
@@ -391,7 +394,7 @@ class ClusterCoordinator(EventKernel):
         self._dispatch(sub, t, hedge=False)
 
     def _handle_hedge(self, t: float, sub: SubRequest) -> None:
-        if sub.satisfied or sub.failed or len(sub.attempts) > 1:
+        if sub.satisfied or sub.failed or sub.n_attempts > 1:
             return
         self._dispatch(sub, t, hedge=True)
 

@@ -58,8 +58,8 @@ class MachineConfig:
     measurement_noise: float = 0.025
 
     def __post_init__(self) -> None:
-        if self.l2 is None and self.l3 is not None:
-            raise ConfigError("a machine with L3 must also have L2")
+        if (self.l2 is None) != (self.l3 is None):
+            raise ConfigError("a machine has L1D only, or L1D, L2 and L3")
 
     def with_pstate_range(self, lowest: int, highest: int) -> "MachineConfig":
         table = PstateTable(lowest=lowest, highest=highest, law=self.pstates.law)

@@ -48,6 +48,7 @@ from repro.errors import ConfigError, TraceError
 from repro.fold import left_sum
 from repro.obs.metrics import Histogram
 from repro.obs.span import domain_energy_j
+from repro.obs.tracer import NullTracer
 from repro.seeding import seeded_rng
 from repro.sim.pmu import PmuCounters
 
@@ -722,16 +723,15 @@ class SamplingAggregator:
         return self.finish()
 
 
-class NullTelemetry:
+class NullTelemetry(NullTracer):
     """Telemetry ``off``: whole-window totals only, zero per-span cost.
 
-    ``enabled`` is False, so every instrumentation site skips its span
+    A :class:`~repro.obs.tracer.NullTracer` (``enabled`` is False, every
+    span hook a no-op), so every instrumentation site skips its span
     work entirely — this is the baseline the obs-overhead CI job holds
     the sampler to.  The summary still answers the report's questions,
     crediting everything to the untagged system bucket.
     """
-
-    enabled = False
 
     def __init__(self, machine: "Machine", background=None):
         self.machine = machine
@@ -749,25 +749,6 @@ class NullTelemetry:
         self._last_package = rapl.energy_package()
         self._last_dram = rapl.energy_dram()
         self._last_time = machine.time_s
-
-    # Tracer duck type: all no-ops (sites check ``enabled`` or use the
-    # shared null span, exactly as with NullTracer).
-    def span(self, name: str, category: str = "span", **meta):
-        from repro.obs.tracer import _NULL_SPAN
-
-        return _NULL_SPAN
-
-    def open(self, name: str, category: str = "span", **meta) -> None:
-        return None
-
-    def enter(self, frame) -> None:
-        return None
-
-    def exit(self, frame) -> None:
-        return None
-
-    def wrap_rows(self, op, ctx):
-        return op.rows(ctx)
 
     def __enter__(self) -> "NullTelemetry":
         self._prev_tracer = self.machine.tracer

@@ -12,9 +12,10 @@ heap and request lifecycle it shares with
   retries use order 0 and tie on their push sequence; a busy core's
   next quantum is ``(clock, 1, core index)``.  So an arrival runs
   before a quantum at the same time, and cores tie on
-  ``(clock, index)``.  A core's quantum entry is pushed when it turns
-  busy and after each quantum; one whose core went idle or whose clock
-  moved on is stale and dropped when it surfaces.
+  ``(clock, index)``.  Each busy core has exactly one quantum entry,
+  stamped with its current clock: it is pushed when the core turns
+  busy and after each quantum the request survives, and a core's clock
+  moves only in its own quantum or while every core is idle.
 * An arrival goes through admission, then dispatch; a quantum runs up
   to ``quantum_rows`` units of the request's work, preceded by a
   context switch charged on the machine.  Work iterators that expose
@@ -27,9 +28,9 @@ heap and request lifecycle it shares with
   arena), so interleaved plans never trample each other's state.
 * When every core is idle and the queue is empty, the gap to the next
   arrival is charged as package idle time — exactly the §2.6 notion of
-  background energy the Active-energy subtraction removes.  Should the
-  heap run dry with requests still queued, they are force-dispatched at
-  the latest core clock.
+  background energy the Active-energy subtraction removes.  Every
+  event ends in a dispatch, and a policy picks a request from any
+  non-empty queue, so the heap never runs dry while requests wait.
 * A request is an object only while in flight.  At its terminal state
   it retires into the :class:`~repro.serve.request.RequestLedger`'s
   columns and is dropped with its work iterator, so memory grows by a
@@ -224,7 +225,8 @@ class EventKernel:
     so their payloads are never compared; a serve quantum uses order 1
     with its core's index, so at equal times an arrival runs first and
     cores tie on ``(clock, index)``.  Subclasses map each ``kind`` to a
-    handler ``handler(t, payload)``.
+    handler ``handler(t, payload)``; the run ends when the heap is empty,
+    so every handler pushes whatever events its state still owes.
 
     The lifecycle: :meth:`_issue` numbers a request by the ledger's
     length, opens its row and sheds it when the breaker's degraded mode
@@ -255,7 +257,7 @@ class EventKernel:
         self.ledger = RequestLedger()
         self._heap: list = []
         self._seq = 0
-        #: Events handled (stale quantum entries included).
+        #: Events handled.
         self.events = 0
 
     def _push(self, t: float, kind: str, payload) -> None:
@@ -264,22 +266,17 @@ class EventKernel:
 
     def _run_events(self, handlers: dict) -> None:
         """Seed the heap with the driver's initial arrivals, handle every
-        event in key order until :meth:`_stalled` adds none, then settle
-        the machine."""
+        event in key order until the heap is empty, then settle the
+        machine."""
         heap = self._heap = self.driver.initial_arrival_entries()
         heapq.heapify(heap)
         self._seq = len(heap)
         pop = heapq.heappop
-        while heap or self._stalled():
+        while heap:
             t, _order, _tiebreak, kind, payload = pop(heap)
             handlers[kind](t, payload)
             self.events += 1
         self.machine.settle()
-
-    def _stalled(self) -> bool:
-        """Called when the heap is empty: push any event still owed and
-        return True, or return False to end the run."""
-        return False
 
     def _issue(self, t: float, client: int, job) -> Optional[Request]:
         """A new request from ``client``, with its ledger row opened, or
@@ -479,9 +476,6 @@ class QueryServer(EventKernel):
         self._free_slots = {
             core.index: list(range(mpl)) for core in core_set.cores
         }
-        #: Monotone high-water mark over all core clocks (force-dispatch
-        #: time); core clocks never move backwards.
-        self._clock_hwm = 0.0
         #: Total quanta executed (reported as ``clock.quanta``).
         self.quanta = 0
 
@@ -498,8 +492,6 @@ class QueryServer(EventKernel):
             core.run_list for core in self.core_set.cores
         ):
             self.core_set.quiesce_until(t)
-            if t > self._clock_hwm:
-                self._clock_hwm = t
 
     def _offer(self, request: Request, t: float, record: bool) -> None:
         admitted = self.admission.offer(request, t, record=record)
@@ -562,9 +554,8 @@ class QueryServer(EventKernel):
                        key=lambda c: (len(c.run_list), c.clock_s, c.index))
             policy = (self._degraded_policy if self._degraded(now)
                       else self.policy)
+            # The queue is non-empty, so the policy always picks one.
             request = policy.select(self.admission.queue, self.hot_tables)
-            if request is None:
-                return
             self.admission.take(request, now)
             if request.past_deadline(now):
                 # Expired while queued: abandon before burning a quantum.
@@ -578,8 +569,6 @@ class QueryServer(EventKernel):
                 # cannot begin before the request exists.  Turning busy,
                 # it gets a quantum event.
                 core.clock_s = max(core.clock_s, now)
-                if core.clock_s > self._clock_hwm:
-                    self._clock_hwm = core.clock_s
                 self._push_quantum(core)
             core.run_list.append(request)
             self.hot_tables = frozenset(request.job.tables)
@@ -705,26 +694,15 @@ class QueryServer(EventKernel):
     # ------------------------------------------------------------ main loop
 
     def _on_quantum(self, t: float, index: int) -> None:
+        # Never stale: a busy core's one entry carries its current clock.
         core = self.core_set.cores[index]
-        if not core.run_list or core.clock_s != t:
-            return  # stale: the core went idle, or its clock moved on
         self._run_quantum(core)
-        if core.clock_s > self._clock_hwm:
-            self._clock_hwm = core.clock_s
         if core.run_list:
             self._push_quantum(core)
         self._assign(core.clock_s)
 
-    def _stalled(self) -> bool:
-        """Requests still queued with no event left (the policy declined
-        them): force-dispatch at the latest core clock."""
-        if self.admission.queue:
-            self._assign(self._clock_hwm)
-        return bool(self._heap)
-
     def run(self) -> RequestLedger:
         """Serve every arrival to a terminal state; returns the ledger."""
-        self._clock_hwm = max(core.clock_s for core in self.core_set.cores)
         self._run_events({"arrival": self._on_arrival,
                           "retry": self._on_retry,
                           "quantum": self._on_quantum})

@@ -23,7 +23,7 @@ governor.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ConfigError
 from repro.serve.request import Request
@@ -44,9 +44,9 @@ class SchedulingPolicy:
     name = "base"
 
     def select(self, queue: "Iterable[Request]",
-               hot_tables: frozenset[str]) -> Optional[Request]:
+               hot_tables: frozenset[str]) -> Request:
         """``queue`` is the admission deque: indexable at ``[0]`` and
-        iterable in arrival order."""
+        iterable in arrival order.  Called only on a non-empty queue."""
         raise NotImplementedError
 
 
@@ -56,7 +56,7 @@ class FifoPolicy(SchedulingPolicy):
     name = "fifo"
 
     def select(self, queue, hot_tables):
-        return queue[0] if queue else None
+        return queue[0]
 
 
 class SjfPolicy(SchedulingPolicy):
@@ -66,8 +66,6 @@ class SjfPolicy(SchedulingPolicy):
     name = "sjf"
 
     def select(self, queue, hot_tables):
-        if not queue:
-            return None
         return min(queue, key=lambda r: (r.job.cost, r.arrival_s,
                                          r.request_id))
 
@@ -84,8 +82,6 @@ class LocalityPolicy(SchedulingPolicy):
         self._head_bypassed = 0
 
     def select(self, queue, hot_tables):
-        if not queue:
-            return None
         head = queue[0]
         if self._head_bypassed >= self.max_bypass:
             self._head_bypassed = 0

@@ -660,7 +660,7 @@ class BatchExecutor:
         hier.mut_epoch += 1
         step = stride % n_lines
         tcm = hier.tcm_region
-        if (step and hier.l2 is not None and hier.l3 is not None
+        if (step and hier.l2 is not None  # an L2 comes with an L3
                 and (tcm is None or base >= tcm.end
                      or base + n_lines * LINE_SIZE <= tcm.base)):
             return self._ring_fast(base, cursor, stride, count, n_lines,
@@ -1052,32 +1052,29 @@ class BatchExecutor:
                     lvl_lat = lat_l2
                     exp = exp_l2
                 else:
+                    # An L2 comes with an L3 (MachineConfig's check).
                     mis2 += 1
-                    if l3 is None:
+                    set3 = s3[line & m3]
+                    if line in set3:
+                        set3.move_to_end(line)
+                        h3 += 1
+                        lvl_lat = lat_l3
+                        exp = exp_l3
+                    else:
+                        mis3 += 1
                         lvl_lat = lat_mem
                         exp = exp_mem
-                    else:
-                        set3 = s3[line & m3]
-                        if line in set3:
-                            set3.move_to_end(line)
-                            h3 += 1
-                            lvl_lat = lat_l3
-                            exp = exp_l3
+                        # fill L3 (line known absent)
+                        f3 += 1
+                        if len(set3) >= a3:
+                            v, vd = set3.popitem(False)
+                            ev3 += 1
+                            if vd:
+                                dev3 += 1
+                                n_wb += 1
                         else:
-                            mis3 += 1
-                            lvl_lat = lat_mem
-                            exp = exp_mem
-                            # fill L3 (line known absent)
-                            f3 += 1
-                            if len(set3) >= a3:
-                                v, vd = set3.popitem(False)
-                                ev3 += 1
-                                if vd:
-                                    dev3 += 1
-                                    n_wb += 1
-                            else:
-                                occ3 += 1
-                            set3[line] = False
+                            occ3 += 1
+                        set3[line] = False
                     # fill L2 (line known absent)
                     f2 += 1
                     if len(set2) >= a2:
@@ -1086,8 +1083,7 @@ class BatchExecutor:
                         if vd:
                             dev2 += 1
                             n_wb += 1
-                            if l3 is not None:
-                                fill_l3(v, True)
+                            fill_l3(v, True)
                     else:
                         occ2 += 1
                     set2[line] = False
@@ -1099,10 +1095,8 @@ class BatchExecutor:
                 if vd:
                     dev1 += 1
                     n_wb += 1
-                    if l2 is not None:
+                    if l2 is not None:  # else straight to DRAM (no L3)
                         fill_l2(v, True)
-                    elif l3 is not None:
-                        fill_l3(v, True)
             else:
                 occ1 += 1
             set1[line] = False
@@ -1112,7 +1106,7 @@ class BatchExecutor:
                 pf2, pf3 = observe(line)
                 for pline in pf2:
                     if l2 is not None and pline not in s2[pline & m2]:
-                        if l3 is not None and pline in s3[pline & m3]:
+                        if pline in s3[pline & m3]:
                             n_pf_l2 += 1
                             pset = s2[pline & m2]
                             f2 += 1
@@ -1128,18 +1122,17 @@ class BatchExecutor:
                             pset[pline] = False
                         else:
                             n_pf_l3 += 1
-                            if l3 is not None:
-                                pset = s3[pline & m3]
-                                f3 += 1
-                                if len(pset) >= a3:
-                                    v, vd = pset.popitem(False)
-                                    ev3 += 1
-                                    if vd:
-                                        dev3 += 1
-                                        n_wb += 1
-                                else:
-                                    occ3 += 1
-                                pset[pline] = False
+                            pset = s3[pline & m3]
+                            f3 += 1
+                            if len(pset) >= a3:
+                                v, vd = pset.popitem(False)
+                                ev3 += 1
+                                if vd:
+                                    dev3 += 1
+                                    n_wb += 1
+                            else:
+                                occ3 += 1
+                            pset[pline] = False
                 for pline in pf3:
                     if l3 is not None and pline not in s3[pline & m3]:
                         n_pf_l3 += 1
@@ -1175,12 +1168,9 @@ class BatchExecutor:
             else:
                 c.n_l2 += mis1
                 c.l2_hits += h2
-                if l3 is None:
-                    c.n_mem += mis2
-                else:
-                    c.n_l3 += mis2
-                    c.l3_hits += h3
-                    c.n_mem += mis3
+                c.n_l3 += mis2
+                c.l3_hits += h3
+                c.n_mem += mis3
             c.n_writeback += n_wb
             c.n_pf_l2 += n_pf_l2
             c.n_pf_l3 += n_pf_l3
@@ -1195,28 +1185,20 @@ class BatchExecutor:
 
     def _store_addrs(self, addrs: Iterable[int]) -> None:
         """Stores for every address in ``addrs``, inlined (write-back +
-        write-allocate; stores cost one issue slot, never stall)."""
+        write-allocate; stores cost one issue slot, never stall).  No
+        address is in the TCM window: ``_words`` declines any access that
+        overlaps it, and ``store_repeat`` charges a TCM store itself."""
         cpu = self.cpu
         c = cpu.counters
         (l1, s1, m1, a1, l2, s2, m2, a2, l3, s3, m3, a3,
          fill_l2, fill_l3, _, _) = self._geom
-        tcm = cpu.hierarchy.tcm_region
-        if tcm is not None:
-            tbase = tcm.base
-            tend = tcm.base + tcm.size
-        else:
-            tbase = 1
-            tend = 0
-
         n_inst = 0
-        n_store = 0
         n_store_hit = 0
         n_l2 = 0
         l2_hits = 0
         n_l3 = 0
         l3_hits = 0
         n_mem = 0
-        n_tcm = 0
         n_wb = 0
         h1 = mis1 = f1 = ev1 = dev1 = occ1 = 0
         h2 = mis2 = f2 = ev2 = dev2 = occ2 = 0
@@ -1224,10 +1206,6 @@ class BatchExecutor:
 
         for addr in addrs:
             n_inst += 1
-            if tbase <= addr < tend:
-                n_tcm += 1
-                continue
-            n_store += 1
             line = addr >> LINE_SHIFT
             set1 = s1[line & m1]
             if line in set1:
@@ -1246,29 +1224,27 @@ class BatchExecutor:
                     h2 += 1
                     l2_hits += 1
                 else:
+                    # An L2 comes with an L3 (MachineConfig's check).
                     mis2 += 1
-                    if l3 is None:
-                        n_mem += 1
+                    n_l3 += 1
+                    set3 = s3[line & m3]
+                    if line in set3:
+                        set3.move_to_end(line)
+                        h3 += 1
+                        l3_hits += 1
                     else:
-                        n_l3 += 1
-                        set3 = s3[line & m3]
-                        if line in set3:
-                            set3.move_to_end(line)
-                            h3 += 1
-                            l3_hits += 1
+                        mis3 += 1
+                        n_mem += 1
+                        f3 += 1
+                        if len(set3) >= a3:
+                            v, vd = set3.popitem(False)
+                            ev3 += 1
+                            if vd:
+                                dev3 += 1
+                                n_wb += 1
                         else:
-                            mis3 += 1
-                            n_mem += 1
-                            f3 += 1
-                            if len(set3) >= a3:
-                                v, vd = set3.popitem(False)
-                                ev3 += 1
-                                if vd:
-                                    dev3 += 1
-                                    n_wb += 1
-                            else:
-                                occ3 += 1
-                            set3[line] = False
+                            occ3 += 1
+                        set3[line] = False
                     f2 += 1
                     if len(set2) >= a2:
                         v, vd = set2.popitem(False)
@@ -1276,8 +1252,7 @@ class BatchExecutor:
                         if vd:
                             dev2 += 1
                             n_wb += 1
-                            if l3 is not None:
-                                fill_l3(v, True)
+                            fill_l3(v, True)
                     else:
                         occ2 += 1
                     set2[line] = False
@@ -1290,24 +1265,21 @@ class BatchExecutor:
                 if vd:
                     dev1 += 1
                     n_wb += 1
-                    if l2 is not None:
+                    if l2 is not None:  # else straight to DRAM (no L3)
                         fill_l2(v, True)
-                    elif l3 is not None:
-                        fill_l3(v, True)
             else:
                 occ1 += 1
             set1[line] = True
 
         c.cycle_ticks += n_inst * cpu._store_issue
         c.n_store_inst += n_inst
-        c.n_store += n_store
+        c.n_store += n_inst
         c.n_store_l1d_hit += n_store_hit
         c.n_l2 += n_l2
         c.l2_hits += l2_hits
         c.n_l3 += n_l3
         c.l3_hits += l3_hits
         c.n_mem += n_mem
-        c.n_tcm_store += n_tcm
         c.n_writeback += n_wb
         l1.bulk_account(h1, mis1, f1, ev1, dev1, occ1)
         if l2 is not None:

@@ -161,9 +161,8 @@ class MemoryHierarchy:
             self.counters.n_writeback += 1
             if self.l2 is not None:
                 self._fill_l2(victim[0], dirty=True)
-            elif self.l3 is not None:
-                self._fill_l3(victim[0], dirty=True)
-            # else: written straight to DRAM; the writeback counter covers it.
+            # else (no L2, so no L3): written straight to DRAM; the
+            # writeback counter covers it.
 
     def _fill_l2(self, line: int, dirty: bool = False) -> None:
         if self.l2 is None:
@@ -186,7 +185,7 @@ class MemoryHierarchy:
         c = self.counters
         for line in l2_lines:
             if self.l2 is not None and not self.l2.contains(line):
-                if self.l3 is not None and self.l3.contains(line):
+                if self.l3.contains(line):  # an L2 comes with an L3
                     c.n_pf_l2 += 1
                     self._fill_l2(line)
                 else:

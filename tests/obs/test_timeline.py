@@ -153,3 +153,31 @@ class TestServeIntegration:
         assert active == pytest.approx(total, rel=0.15)
         assert sum(r["completed"] for r in rows) == \
             report["counts"]["completed"]
+
+    def test_waste_lane_same_under_full_and_sampler(self, tmp_path):
+        """Both telemetry modes feed the timeline's waste lane from their
+        wasted-tagged spans, so a chaos run writes the same file under
+        either one."""
+        from repro.cli import CHAOS_SCENARIOS
+        from repro.faults import FaultPlan
+        from repro.serve import ServeConfig, run_serve
+
+        texts = {}
+        for telemetry in ("full", "sampler"):
+            out = tmp_path / f"{telemetry}.jsonl"
+            run_serve(ServeConfig(
+                workload="basic", tier="10MB", clients=2, queries=24,
+                faults=FaultPlan(**CHAOS_SCENARIOS["mixed"]), retries=2,
+                seed=7, telemetry=telemetry, timeline_out=str(out),
+            ))
+            texts[telemetry] = out.read_text()
+        assert texts["full"] == texts["sampler"]
+        rows = [json.loads(line) for line in texts["full"].splitlines()[1:]]
+        reasons = set()
+        for row in rows:
+            by_reason = row["wasted_by_reason_j"]
+            reasons.update(by_reason)
+            assert sum(by_reason.values()) == pytest.approx(
+                row["wasted_j"], rel=1e-12, abs=1e-18)
+        assert {"stall", "page_repair"} <= reasons
+        assert sum(row["wasted_j"] for row in rows) > 0

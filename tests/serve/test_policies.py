@@ -26,9 +26,6 @@ class TestFifo:
         queue = [req(0), req(1), req(2)]
         assert FifoPolicy().select(queue, frozenset()) is queue[0]
 
-    def test_empty_queue(self):
-        assert FifoPolicy().select([], frozenset()) is None
-
 
 class TestSjf:
     def test_picks_cheapest(self):

@@ -353,6 +353,51 @@ class TestDeadlineRetryInterplay:
         assert "failed" not in energy["wasted_by_reason_j"]
 
 
+class TestQueuedDeadline:
+    """A request whose deadline passes while it waits in the queue is
+    abandoned at dispatch: it runs no quantum and frees its admission
+    slot.  One core at mpl 1 under eight clients keeps the queue deep
+    enough for three waiters to expire."""
+
+    def test_expired_waiters_are_abandoned_before_running(self, monkeypatch):
+        import sys
+
+        from repro.serve.loop import QueryServer
+
+        abandoned = []
+        mark = QueryServer._mark_deadline_exceeded
+
+        def spy(server, request, now):
+            if sys._getframe(1).f_code.co_name == "_assign":
+                tenant = request.tenant
+                held = [r for r in server.admission.queue
+                        if r.tenant == tenant]
+                held += [r for core in server.core_set.cores
+                         for r in core.run_list if r.tenant == tenant]
+                abandoned.append((request.quanta, request.rows, request.slot,
+                                  server.admission._in_flight.get(tenant, 0),
+                                  len(held)))
+            mark(server, request, now)
+
+        monkeypatch.setattr(QueryServer, "_mark_deadline_exceeded", spy)
+        report = run_serve(ServeConfig(
+            workload="tpch", tier="10MB", cores=1, mpl=1, clients=8,
+            queries=24, deadline_s=0.05, seed=3))
+        counts = report["counts"]
+        assert counts["deadline_exceeded"] == 3
+        assert len(abandoned) == 3
+        for quanta, rows, slot, in_flight, held in abandoned:
+            # No quantum, no rows, no execution slot ...
+            assert (quanta, rows, slot) == (0, 0, None)
+            # ... and its tenant's admission count covers only the
+            # requests still queued or running.
+            assert in_flight == held
+        terminal = sum(n for state, n in counts.items() if state != "issued")
+        assert terminal == counts["issued"]
+        energy = report["energy"]
+        assert energy["check_sum_j"] == energy["total_active_j"]
+
+
 class TestFailedAttemptRowAccounting:
     """Regression: rows accrued by a fault-killed attempt must not stick
     to the request — the client never received them.  Faults can surface

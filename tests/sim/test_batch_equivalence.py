@@ -91,11 +91,17 @@ def _random_program(rng: random.Random, tcm_base, tcm_size) -> list:
         elif kind == 12:
             ops.append(("settle",))
         elif kind == 13 and tcm_base is not None:
-            # TCM interior plus boundary-straddling runs.
-            if rng.random() < 0.5:
+            # TCM interior loads and repeated stores, plus
+            # boundary-straddling runs.
+            tcm_kind = rng.randrange(3)
+            if tcm_kind == 0:
                 ops.append(("tcm_run",
                             rng.randrange(0, max(8, tcm_size - 64), 8),
                             rng.randrange(1, 8), rng.random() < 0.5))
+            elif tcm_kind == 1:
+                ops.append(("tcm_store_repeat",
+                            rng.randrange(0, tcm_size, 8),
+                            rng.randrange(1, 40)))
             else:
                 ops.append(("straddle", rng.randrange(1, 6),
                             rng.random() < 0.5))
@@ -144,6 +150,8 @@ def _execute(preset: str, mode: str, program: list, eist: bool):
         elif kind == "tcm_run":
             ex.load_run(tcm.base + op[1], tuple(range(0, op[2] * 8, 8)),
                         op[3])
+        elif kind == "tcm_store_repeat":
+            ex.store_repeat(tcm.base + op[1], op[2])
         elif kind == "straddle":
             # A run crossing the TCM lower boundary: per-op fallback.
             n_words = op[1]
@@ -167,6 +175,8 @@ def test_random_mix_equivalence(preset, seed):
     ref = exact_state(_execute(preset, "reference", program, eist=False))
     bat = exact_state(_execute(preset, "batched", program, eist=False))
     assert ref == bat
+    # The ARM board's DTCM takes stores too, through store_repeat.
+    assert (ref["counters"]["n_tcm_store"] > 0) == (tcm is not None)
 
 
 @pytest.mark.parametrize("preset", ("intel", "arm"))

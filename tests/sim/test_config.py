@@ -71,6 +71,9 @@ class TestArmPreset:
         config = intel_i7_4790()
         with pytest.raises(ConfigError):
             dataclasses.replace(config, l2=None)
+        # ... and L2 with L3: a machine has L1D only, or L1D, L2 and L3.
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config, l3=None)
 
     def test_tiny_presets_buildable(self):
         from repro import Machine

@@ -111,6 +111,18 @@ class TestTraceCommand:
         assert any(e["ph"] == "X" for e in chrome["traceEvents"])
         assert (out_dir / "trace.svg").read_text().startswith("<svg")
 
+    def test_trace_sampler_lists_operator_groups(self, capsys, tmp_path):
+        assert main(["trace", "--tier", "10MB", "--telemetry", "sampler",
+                     "--out", str(tmp_path),
+                     "SELECT r_name, COUNT(*) FROM region GROUP BY r_name"
+                     " ORDER BY r_name"]) == 0
+        out = capsys.readouterr().out
+        assert "sampled telemetry:" in out
+        for group in ("operator:SeqScanOp", "operator:AggOp",
+                      "operator:SortOp"):
+            assert group in out
+        assert "(0.0000% apart)" in out
+
     def test_profile_trace_out(self, capsys, tmp_path):
         out_dir = tmp_path / "ptraces"
         assert main(["profile", "--tier", "10MB", "-q", "6",
@@ -165,6 +177,18 @@ class TestServeCommand:
         assert report["counts"]["completed"] == 4
         assert report["energy"]["check_sum_j"] == pytest.approx(
             report["energy"]["total_active_j"], rel=1e-12)
+
+    def test_serve_sampler_summary_line(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["serve", "--workload", "basic", "--tier", "10MB",
+                     "--clients", "2", "--queries", "4", "--cores", "1",
+                     "--seed", "11", "--telemetry", "sampler",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "telemetry: mode=sampler  groups=" in err
+        report = json.loads(out.read_text())
+        assert report["telemetry"]["mode"] == "sampler"
+        assert report["telemetry"]["groups"]
 
     def test_serve_out_file_deterministic(self, tmp_path, capsys):
         argv = ["serve", "--workload", "basic", "--tier", "10MB",
