@@ -220,7 +220,7 @@ def cmd_trace(args) -> int:
             seed=derive_seed(args.seed, "obs", "exemplars"),
             exemplar_rate=args.exemplar_rate,
             reservoir_size=args.reservoir_size,
-            trace_operators=True, timeline=timeline, name="query",
+            trace_operators=True, name="query",
         )
     else:
         tracer = Tracer(machine, background=cal.background,
@@ -244,14 +244,10 @@ def cmd_trace(args) -> int:
     if len(rows) > args.limit:
         print(f"... ({len(rows)} rows)")
     print()
-    if sampled:
-        summary = tracer.finish()
-        print(summary.render_table())
-        span_sum = summary.total_active_j
-    else:
-        trace = tracer.trace
-        print(trace.render_tree(max_depth=args.depth))
-        span_sum = sum(trace.active_energy_j(s) for s in trace.spans())
+    result = tracer.finish()
+    print(result.render_table() if sampled
+          else result.render_tree(max_depth=args.depth))
+    span_sum = result.total_active_j
     measured = measurement.active_energy_j
     delta_pct = (100.0 * abs(span_sum - measured) / measured
                  if measured else 0.0)
@@ -261,7 +257,7 @@ def cmd_trace(args) -> int:
         print()
         print(machine.metrics.render())
     if not sampled:
-        for path in _export_trace(trace, pathlib.Path(args.out), "trace",
+        for path in _export_trace(result, pathlib.Path(args.out), "trace",
                                   f"{statement} ({args.engine}, {args.tier})"):
             print(f"wrote {path}", file=sys.stderr)
     return 0 if delta_pct <= 1.0 else 1

@@ -77,14 +77,6 @@ __all__ = [
 ]
 
 
-def energy_flamegraph_svg(trace, title: str = "Energy flamegraph") -> str:
-    """Lazy re-export of :func:`repro.obs.flamegraph.energy_flamegraph_svg`
-    (the flamegraph module touches the analysis layer at call time)."""
-    from repro.obs.flamegraph import energy_flamegraph_svg as render
-
-    return render(trace, title)
-
-
 def write_flamegraph(trace, path, title: str = "Energy flamegraph"):
     """Lazy re-export of :func:`repro.obs.flamegraph.write_flamegraph`."""
     from repro.obs.flamegraph import write_flamegraph as write

@@ -39,16 +39,15 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from contextlib import contextmanager
 from itertools import compress, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError
 from repro.fold import left_sum
 from repro.obs.metrics import Histogram
 from repro.obs.span import domain_energy_j
-from repro.obs.tracer import NullTracer
+from repro.obs.tracer import NullTracer, SettlePartition
 from repro.seeding import seeded_rng
 from repro.sim.pmu import PmuCounters
 
@@ -58,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Span-meta keys a frame inherits from its parent (the same downward
 #: inheritance :meth:`repro.obs.span.Trace.active_energy_by_metas` uses).
 META_KEYS = ("tenant", "request", "attempt", "wasted")
+_WASTED = META_KEYS.index("wasted")
+#: The meta of the untagged system row.
+_UNTAGGED = (None,) * len(META_KEYS)
 
 #: Cache levels reported in per-group summaries.
 CACHE_LEVELS = ("L1D", "L2", "L3", "mem")
@@ -202,7 +204,8 @@ class _Frame:
     """One open region: group identity, inherited meta, self totals."""
 
     __slots__ = ("name", "category", "group", "meta", "row", "first_ts",
-                 "time_s", "core_j", "package_j", "dram_j", "enters")
+                 "last_ts", "time_s", "core_j", "package_j", "dram_j",
+                 "enters")
 
     def __init__(self, name: str, category: str, group: tuple,
                  meta: tuple):
@@ -213,6 +216,7 @@ class _Frame:
         #: This frame's :class:`MetaEnergy` row, bound at first credit.
         self.row: Optional[int] = None
         self.first_ts: Optional[float] = None
+        self.last_ts: Optional[float] = None
         self.time_s = 0.0
         self.core_j = 0.0
         self.package_j = 0.0
@@ -351,13 +355,10 @@ class TelemetrySummary:
         return left_sum(active for _, active in self._metas())
 
     def active_energy_by_meta(self, key: str) -> dict:
-        """Partition Active energy by one inherited meta key."""
-        index = META_KEYS.index(key)
-        groups: dict = {}
-        for meta, active in self._metas():
-            owner = meta[index]
-            groups[owner] = groups.get(owner, 0.0) + active
-        return groups
+        """Partition Active energy by one inherited meta key (the
+        one-key view of :meth:`active_energy_by_metas`)."""
+        return {owner: joules for (owner,), joules
+                in self.active_energy_by_metas((key,)).items()}
 
     def active_energy_by_metas(self, keys: tuple) -> dict:
         """Partition Active energy by a tuple of inherited meta keys
@@ -470,7 +471,7 @@ def _nan_none(value: float):
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
-class SamplingAggregator:
+class SamplingAggregator(SettlePartition):
     """Settle-partitioned streaming aggregator bound to one machine.
 
     Same context-manager lifecycle as :class:`~repro.obs.tracer.Tracer`::
@@ -478,7 +479,7 @@ class SamplingAggregator:
         sampler = SamplingAggregator(machine, background=bg, seed=seed)
         with sampler:
             server.run()
-        summary = sampler.summary
+        summary = sampler.finish()
 
     ``trace_operators`` controls :meth:`wrap_rows`: when False (the
     serve default) operator pulls pass straight through and operator
@@ -489,12 +490,9 @@ class SamplingAggregator:
     table shows per-operator energy.
     """
 
-    enabled = True
-
     def __init__(self, machine: "Machine", background=None, seed: int = 0,
                  exemplar_rate: float = 0.1, reservoir_size: int = 64,
-                 trace_operators: bool = False, timeline=None,
-                 name: str = "sampled"):
+                 trace_operators: bool = False, name: str = "sampled"):
         if not 0.0 <= exemplar_rate <= 1.0:
             raise ConfigError(
                 f"exemplar_rate must be in [0, 1], got {exemplar_rate}"
@@ -503,95 +501,51 @@ class SamplingAggregator:
             raise ConfigError(
                 f"reservoir_size must be >= 1, got {reservoir_size}"
             )
-        self.machine = machine
-        self.background = background
         self.exemplar_rate = exemplar_rate
         self.reservoir_size = reservoir_size
         self.trace_operators = trace_operators
-        self.timeline = timeline
         self._rng = seeded_rng(seed, "obs.sampler")
-        root = _Frame(name, "trace", ("trace", name), (None,) * len(META_KEYS))
-        self._stack: list[_Frame] = [root]
         self.groups: dict[tuple, GroupAggregate] = {}
         self.meta_energy = MetaEnergy()
         self.exemplars: list[Exemplar] = []
         self.exemplars_offered = 0
-        self._finished: Optional[TelemetrySummary] = None
-        self._prev_tracer = None
-        self._baseline()
+        super().__init__(machine, background,
+                         _Frame(name, "trace", ("trace", name), _UNTAGGED))
 
     # ------------------------------------------------------------ accounting
 
-    def _baseline(self) -> None:
-        machine = self.machine
-        machine.settle()
-        self._last_counters = machine._settled
-        rapl = machine.rapl
-        self._last_core = rapl.energy_core()
-        self._last_package = rapl.energy_package()
-        self._last_dram = rapl.energy_dram()
-        self._last_time = machine.time_s
-        self._last_busy = machine.busy_s
-        self._last_idle = machine.idle_s
-        self._stack[0].first_ts = machine.time_s
-
-    def _credit_top(self) -> None:
-        """Fold everything since the last transition into the open
-        frame's group and meta aggregates (the exact-partition step)."""
-        machine = self.machine
-        frame = self._stack[-1]
-        delta = machine.settled_since(self._last_counters)
-        if delta is not None:
-            self._last_counters = machine._settled
-        rapl = machine.rapl
-        core = rapl.energy_core()
-        package = rapl.energy_package()
-        dram = rapl.energy_dram()
-        d_core = core - self._last_core
-        d_package = package - self._last_package
-        d_dram = dram - self._last_dram
-        self._last_core, self._last_package, self._last_dram = (
-            core, package, dram
-        )
-        now = machine.time_s
-        d_time = now - self._last_time
-        d_busy = machine.busy_s - self._last_busy
-        d_idle = machine.idle_s - self._last_idle
-        self._last_time = now
-        self._last_busy = machine.busy_s
-        self._last_idle = machine.idle_s
-
-        frame.time_s += d_time
-        frame.core_j += d_core
-        frame.package_j += d_package
-        frame.dram_j += d_dram
+    def _credit(self, frame: _Frame, counters, core_j: float,
+                package_j: float, dram_j: float, time_s: float,
+                busy_s: float, idle_s: float) -> None:
+        """Fold one delta into the frame's group and meta aggregates."""
+        frame.time_s += time_s
+        frame.core_j += core_j
+        frame.package_j += package_j
+        frame.dram_j += dram_j
 
         agg = self.groups.get(frame.group)
         if agg is None:
             agg = self.groups[frame.group] = GroupAggregate()
-        agg.time_s += d_time
-        agg.busy_s += d_busy
-        agg.idle_s += d_idle
-        agg.core_j += d_core
-        agg.package_j += d_package
-        agg.dram_j += d_dram
-        if delta is not None:
-            agg.counters.accumulate(delta)
+        agg.time_s += time_s
+        agg.busy_s += busy_s
+        agg.idle_s += idle_s
+        agg.core_j += core_j
+        agg.package_j += package_j
+        agg.dram_j += dram_j
+        if counters is not None:
+            agg.counters.accumulate(counters)
 
         row = frame.row
         if row is None:
             row = frame.row = self.meta_energy.row(frame.meta)
-        self.meta_energy.add(row, d_core, d_package, d_dram, d_time)
+        self.meta_energy.add(row, core_j, package_j, dram_j, time_s)
 
-        timeline = self.timeline
-        if timeline is not None and d_time > 0.0:
-            wasted = frame.meta[META_KEYS.index("wasted")]
-            if wasted is not None:
-                timeline.add_wasted(now - d_time, now, wasted, d_package)
+    def _wasted(self, frame: _Frame):
+        return frame.meta[_WASTED]
 
     # ------------------------------------------------------------ span API
 
-    def _make_frame(self, name: str, category: str, meta: dict) -> _Frame:
+    def open(self, name: str, category: str = "span", **meta) -> _Frame:
         parent = self._stack[-1]
         inherited = tuple(
             meta.get(key, parent.meta[i])
@@ -600,10 +554,8 @@ class SamplingAggregator:
         operator = meta.get("op") or meta.get("job") or name
         return _Frame(name, category, (category, operator), inherited)
 
-    def open(self, name: str, category: str = "span", **meta) -> _Frame:
-        return self._make_frame(name, category, meta)
-
     def enter(self, frame: _Frame) -> None:
+        # SettlePartition.enter inlined: the per-quantum hot path.
         self._credit_top()
         self._stack.append(frame)
         frame.enters += 1
@@ -614,16 +566,7 @@ class SamplingAggregator:
             agg = self.groups[frame.group] = GroupAggregate()
         agg.enters += 1
 
-    def exit(self, frame: _Frame) -> None:
-        self._credit_top()
-        if self._stack[-1] is not frame:
-            raise TraceError(
-                f"span exit mismatch: open={self._stack[-1].name!r}, "
-                f"exiting={frame.name!r}"
-            )
-        self._stack.pop()
-
-    def _close(self, frame: _Frame) -> None:
+    def _close(self, frame: _Frame, rows) -> None:
         """A span will not be re-entered: observe its self totals into
         the group histograms and offer it to the exemplar reservoir."""
         agg = self.groups.get(frame.group)
@@ -646,144 +589,62 @@ class SamplingAggregator:
             elif slot < self.reservoir_size:
                 self.exemplars[slot] = exemplar
 
-    @contextmanager
-    def span(self, name: str, category: str = "span", **meta):
-        frame = self._make_frame(name, category, meta)
-        self.enter(frame)
-        try:
-            yield frame
-        finally:
-            self.exit(frame)
-            self._close(frame)
-
     def wrap_rows(self, op, ctx):
         """Operator tracing (see class docstring): pass-through unless
         ``trace_operators`` asked for per-row attribution."""
         if not self.trace_operators:
             return op.rows(ctx)
-        return self._wrap_rows(op, ctx)
-
-    def _wrap_rows(self, op, ctx):
-        frame = self._make_frame(
-            op.describe(), "operator", {"op": type(op).__name__}
-        )
-        iterator = op.rows(ctx)
-        try:
-            while True:
-                self.enter(frame)
-                try:
-                    row = next(iterator)
-                except StopIteration:
-                    self.exit(frame)
-                    return
-                except BaseException:
-                    self.exit(frame)
-                    raise
-                self.exit(frame)
-                yield row
-        finally:
-            self._close(frame)
+        return SettlePartition.wrap_rows(self, op, ctx)
 
     # ------------------------------------------------------------ lifecycle
 
-    def __enter__(self) -> "SamplingAggregator":
-        self._prev_tracer = self.machine.tracer
-        self.machine.tracer = self
-        self._baseline()
-        return self
+    def _result(self) -> TelemetrySummary:
+        self._close(self._stack[0], None)
+        from repro.micro.measurement import select_domain
 
-    def __exit__(self, *exc) -> bool:
-        self.machine.tracer = self._prev_tracer
-        if exc[0] is None:
-            self.finish()
-        return False
+        total = PmuCounters()
+        for agg in self.groups.values():
+            total.accumulate(agg.counters)
+        return TelemetrySummary(
+            select_domain(total), self.background, self.groups,
+            self.meta_energy, self.exemplars, self.exemplar_rate,
+            self.exemplars_offered,
+        )
 
-    def finish(self) -> TelemetrySummary:
-        """Close the run and return the summary (idempotent)."""
-        if self._finished is None:
-            self._credit_top()
-            if len(self._stack) != 1:
-                open_names = [f.name for f in self._stack[1:]]
-                raise TraceError(f"unclosed spans at finish: {open_names}")
-            self._close(self._stack[0])
-            from repro.micro.measurement import select_domain
-
-            total = PmuCounters()
-            for agg in self.groups.values():
-                total.accumulate(agg.counters)
-            domain = select_domain(total)
-            self._finished = TelemetrySummary(
-                domain, self.background, self.groups, self.meta_energy,
-                self.exemplars, self.exemplar_rate, self.exemplars_offered,
-            )
-        return self._finished
-
-    @property
-    def summary(self) -> TelemetrySummary:
-        return self.finish()
+    # The e2e layer trace hooks these in each class's own dict.
+    exit = SettlePartition.exit
+    finish = SettlePartition.finish
 
 
-class NullTelemetry(NullTracer):
+class NullTelemetry(NullTracer, SettlePartition):
     """Telemetry ``off``: whole-window totals only, zero per-span cost.
 
-    A :class:`~repro.obs.tracer.NullTracer` (``enabled`` is False, every
-    span hook a no-op), so every instrumentation site skips its span
-    work entirely — this is the baseline the obs-overhead CI job holds
-    the sampler to.  The summary still answers the report's questions,
-    crediting everything to the untagged system bucket.
+    A :class:`~repro.obs.tracer.NullTracer` first (``enabled`` is False,
+    every span hook a no-op), so every instrumentation site skips its
+    span work entirely — this is the baseline the obs-overhead CI job
+    holds the sampler to.  The settle-partition core then credits the
+    whole window, at finish, to the untagged system row.
     """
 
     def __init__(self, machine: "Machine", background=None):
-        self.machine = machine
-        self.background = background
-        self._finished: Optional[TelemetrySummary] = None
-        self._prev_tracer = None
-        self._baseline()
+        self._counters = PmuCounters()
+        self.meta_energy = MetaEnergy()
+        super().__init__(machine, background,
+                         _Frame("off", "trace", ("trace", "off"), _UNTAGGED))
 
-    def _baseline(self) -> None:
-        machine = self.machine
-        machine.settle()
-        self._start_counters = machine.pmu.snapshot()
-        rapl = machine.rapl
-        self._last_core = rapl.energy_core()
-        self._last_package = rapl.energy_package()
-        self._last_dram = rapl.energy_dram()
-        self._last_time = machine.time_s
+    def _credit(self, frame: _Frame, counters, core_j: float,
+                package_j: float, dram_j: float, time_s: float,
+                busy_s: float, idle_s: float) -> None:
+        if counters is not None:
+            self._counters.accumulate(counters)
+        self.meta_energy.add(self.meta_energy.row(frame.meta), core_j,
+                             package_j, dram_j, time_s)
 
-    def __enter__(self) -> "NullTelemetry":
-        self._prev_tracer = self.machine.tracer
-        self.machine.tracer = self
-        self._baseline()
-        return self
+    _wasted = SamplingAggregator._wasted
 
-    def __exit__(self, *exc) -> bool:
-        self.machine.tracer = self._prev_tracer
-        if exc[0] is None:
-            self.finish()
-        return False
+    def _result(self) -> TelemetrySummary:
+        from repro.micro.measurement import select_domain
 
-    def finish(self) -> TelemetrySummary:
-        if self._finished is None:
-            machine = self.machine
-            machine.settle()
-            from repro.micro.measurement import select_domain
-
-            delta = machine.pmu.counters.minus(self._start_counters)
-            domain = select_domain(delta)
-            rapl = machine.rapl
-            meta_energy = MetaEnergy()
-            meta_energy.add(
-                meta_energy.row((None,) * len(META_KEYS)),
-                rapl.energy_core() - self._last_core,
-                rapl.energy_package() - self._last_package,
-                rapl.energy_dram() - self._last_dram,
-                machine.time_s - self._last_time,
-            )
-            self._finished = TelemetrySummary(
-                domain, self.background, {}, meta_energy, [], 0.0, 0,
-            )
-        return self._finished
-
-    @property
-    def summary(self) -> TelemetrySummary:
-        return self.finish()
+        return TelemetrySummary(select_domain(self._counters),
+                                self.background, {}, self.meta_energy, [],
+                                0.0, 0)

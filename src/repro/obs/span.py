@@ -105,28 +105,14 @@ class Span:
             total.accumulate(child.inclusive_counters())
         return total
 
-    def _inclusive(self, attr: str) -> float:
-        return sum(getattr(span, attr) for span in self.walk())
-
     @property
     def inclusive_time_s(self) -> float:
-        return self._inclusive("self_time_s")
-
-    @property
-    def inclusive_busy_s(self) -> float:
-        return self._inclusive("self_busy_s")
-
-    @property
-    def inclusive_idle_s(self) -> float:
-        return self._inclusive("self_idle_s")
+        return left_sum(span.self_time_s for span in self.walk())
 
     def self_domain_j(self, domain: str) -> float:
         return domain_energy_j(
             self.self_core_j, self.self_package_j, self.self_dram_j, domain
         )
-
-    def inclusive_domain_j(self, domain: str) -> float:
-        return sum(span.self_domain_j(domain) for span in self.walk())
 
 
 class Trace:
@@ -192,17 +178,10 @@ class Trace:
         lands under ``None``.  Because every span is visited exactly
         once, the group sums add up to :attr:`total_active_j` exactly,
         the same partition invariant the span tree itself guarantees.
+        This is the one-key view of :meth:`active_energy_by_metas`.
         """
-        groups: dict = {}
-
-        def visit(span: Span, inherited) -> None:
-            owner = span.meta.get(key, inherited)
-            groups[owner] = groups.get(owner, 0.0) + self.active_energy_j(span)
-            for child in span.children:
-                visit(child, owner)
-
-        visit(self.root, None)
-        return groups
+        return {owner: joules for (owner,), joules
+                in self.active_energy_by_metas((key,)).items()}
 
     def active_energy_by_metas(self, keys: tuple) -> dict:
         """Partition Active energy by a *tuple* of span-meta values.

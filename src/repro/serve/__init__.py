@@ -169,7 +169,6 @@ def run_serve(config: ServeConfig) -> dict:
             seed=derive_seed(seed, "obs", "exemplars"),
             exemplar_rate=config.exemplar_rate,
             reservoir_size=config.reservoir_size,
-            timeline=timeline,
             name="serve",
         )
     elif config.telemetry == "off":

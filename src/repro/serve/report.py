@@ -309,7 +309,7 @@ def build_report(config: ServeConfig, server: QueryServer,
             "telemetry", "exemplar_rate", "reservoir_size", "timeline_out",
             "timeline_window_s"))
         section: dict = {"mode": config.telemetry}
-        if config.telemetry == "sampler" and hasattr(trace, "group_table"):
+        if config.telemetry == "sampler":
             # Sampler mode: the summary carries the streaming aggregates.
             section["groups"] = trace.group_table()
             section["exemplars"] = {

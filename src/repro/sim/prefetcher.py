@@ -36,65 +36,10 @@ Both execution engines implement the same choice (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 _NO_LINES = range(0)
-
-
-class _Stream:
-    """Live view of one tracker slot.
-
-    The authoritative tracker state lives in the prefetcher's parallel
-    integer lists (so :meth:`StreamPrefetcher.observe` can scan them at
-    C speed with ``list.index``); this view keeps the historical
-    per-stream attribute API for tests and metrics.
-    """
-
-    __slots__ = ("_pf", "_i")
-
-    def __init__(self, pf: "StreamPrefetcher", i: int) -> None:
-        object.__setattr__(self, "_pf", pf)
-        object.__setattr__(self, "_i", i)
-
-    @property
-    def last_line(self) -> int:
-        return self._pf._last[self._i]
-
-    @last_line.setter
-    def last_line(self, value: int) -> None:
-        self._pf._last[self._i] = value
-
-    @property
-    def run_length(self) -> int:
-        return self._pf._run[self._i]
-
-    @run_length.setter
-    def run_length(self, value: int) -> None:
-        self._pf._run[self._i] = value
-
-    #: High-water mark of lines ever issued toward L2 (the near window).
-    @property
-    def l2_up_to(self) -> int:
-        return self._pf._l2up[self._i]
-
-    @l2_up_to.setter
-    def l2_up_to(self, value: int) -> None:
-        self._pf._l2up[self._i] = value
-
-    #: High-water mark of lines ever issued toward L3 (the far window).
-    @property
-    def prefetched_up_to(self) -> int:
-        return self._pf._l3up[self._i]
-
-    @prefetched_up_to.setter
-    def prefetched_up_to(self, value: int) -> None:
-        self._pf._l3up[self._i] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"_Stream(last_line={self.last_line}, "
-                f"run_length={self.run_length}, l2_up_to={self.l2_up_to}, "
-                f"prefetched_up_to={self.prefetched_up_to})")
 
 
 @dataclass
@@ -122,7 +67,6 @@ class StreamPrefetcher:
     n_trained: int = 0
     n_pf_l2_issued: int = 0
     n_pf_l3_issued: int = 0
-    _streams: list = field(default_factory=list, repr=False)
     _victim: int = 0
 
     def __post_init__(self) -> None:
@@ -132,7 +76,6 @@ class StreamPrefetcher:
         self._run = [0] * n
         self._l2up = [-1] * n
         self._l3up = [-1] * n
-        self._streams = [_Stream(self, i) for i in range(n)]
 
     def reset(self) -> None:
         n = self.n_streams

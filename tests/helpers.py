@@ -40,7 +40,6 @@ def exact_state(machine) -> dict:
     pf = machine.hierarchy.prefetcher
     state["prefetcher"] = (
         pf.n_trained, pf.n_pf_l2_issued, pf.n_pf_l3_issued, pf._victim,
-        tuple((s.last_line, s.run_length, s.l2_up_to, s.prefetched_up_to)
-              for s in pf._streams),
+        tuple(zip(pf._last, pf._run, pf._l2up, pf._l3up)),
     )
     return state

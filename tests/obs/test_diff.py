@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pathlib
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.obs.diff import (
     render_diff,
     top_regressor,
 )
+from repro.obs.export import TRACE_SCHEMA_VERSION
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 BENCH_DOC = {
     "schema_version": 2,
@@ -138,3 +142,106 @@ class TestTopRegressor:
                               load_snapshot(serve_pair[1]))
         worst = top_regressor(diff)
         assert worst is None or worst["delta_energy_j"] > 0
+
+
+class TestArtifactLoaders:
+    """The trace-JSONL, bench and optimizer loaders, each fed a real
+    artifact and checked against the file it came from."""
+
+    def test_trace_jsonl_operators_match_spans(self, tmp_path, sqlite_db):
+        from repro.obs import Tracer, write_jsonl
+
+        tracer = Tracer(sqlite_db.machine, name="query")
+        with tracer:
+            sqlite_db.sql("SELECT r_name, COUNT(*) FROM region "
+                          "GROUP BY r_name ORDER BY r_name")
+        trace = tracer.trace
+        path = str(tmp_path / "trace.jsonl")
+        write_jsonl(trace, path)
+        snap = load_snapshot(path)
+        assert snap.kind == "trace"
+        assert snap.schema_version == TRACE_SCHEMA_VERSION
+        assert snap.total_energy_j == trace.total_active_j
+        assert snap.total_time_s == trace.root.inclusive_time_s
+        expected: dict = {}
+        for span in trace.spans():
+            name = span.meta.get("op") or span.meta.get("job") or span.name
+            expected[name] = (expected.get(name, 0.0)
+                              + trace.active_energy_j(span))
+        assert {name: op["energy_j"]
+                for name, op in snap.operators.items()} == expected
+        assert any(span.category == "operator" for span in trace.spans())
+        # Count-weighted shares partition the operators' energy.
+        for dim in (snap.microops, snap.cache_levels):
+            assert sum(v["energy_j"] for v in dim.values()) == \
+                pytest.approx(trace.total_active_j, rel=1e-9)
+        text = render_diff(diff_snapshots(snap, load_snapshot(path)))
+        assert "Δ energy by micro-op class" in text
+
+    def test_committed_bench_sections(self, tmp_path):
+        path = ROOT / "BENCH_simperf.json"
+        doc = json.loads(path.read_text())
+        snap = load_snapshot(str(path))
+        assert snap.kind == "bench"
+        assert snap.schema_version == doc["schema_version"]
+        sections = snap.sections
+        walls = doc["sections_wall_s"]
+        fig07 = "scan_path.fig07_tpch_scan"
+        assert sections[fig07] == {
+            "mops": doc["scan_path"]["fig07_tpch_scan"]["batched_mops"],
+            "wall_s": walls[fig07],
+        }
+        for tier, entry in doc["scan_path"]["fig08_datasize_scan"].items():
+            assert (sections[f"scan_path.fig08.{tier}"]["mops"]
+                    == entry["batched_mops"])
+        assert (sections["row_load_run"]["mops"]
+                == doc["row_load_run"]["batched_mops"])
+        for query, entry in doc["tpch"].items():
+            assert sections[f"tpch.{query}"] == {
+                "mops": None, "wall_s": entry["batched_s"]}
+        for key, entry in doc["serve"].items():
+            assert (sections[f"serve.{key}"]["wall_s"]
+                    == entry["batched"]["wall_s"])
+        assert sections["serve_scale"]["wall_s"] == doc["serve_scale"]["wall_s"]
+        assert sections["cluster"] == {"mops": None,
+                                       "wall_s": walls["cluster"]}
+
+        worse = copy.deepcopy(doc)
+        worse["scan_path"]["fig07_tpch_scan"]["batched_mops"] /= 2
+        worse["tpch"]["Q1"]["batched_s"] += 1.0
+        diff = diff_snapshots(snap, load_snapshot(
+            _write(tmp_path, "worse.json", worse)))
+        rows = {row["name"]: row for row in diff["dims"]["section"]}
+        assert rows["tpch.Q1"]["delta_wall_s"] == pytest.approx(1.0)
+        text = render_diff(diff, top=len(rows))
+        assert "-- bench sections (worst ratio first) --" in text
+        assert f"  {fig07:<28} throughput B/A 0.500x" in text
+        assert f"  {'tpch.Q1':<28} throughput B/A  n/a " in text
+        assert "Δwall +1 s" in text
+        assert text.endswith(
+            f"top regressor: {fig07} (0.500x baseline throughput)")
+
+    def test_optimizer_artifact_joules(self, tmp_path):
+        from repro.workloads.tpch.optimize import run_optimizer_bench
+
+        doc = run_optimizer_bench(quick=True, engines=("sqlite", "mysql"),
+                                  queries=(6,))
+        snap = load_snapshot(_write(tmp_path, "opt.json", doc))
+        assert snap.kind == "optimizer"
+        assert snap.schema_version == doc["schema_version"]
+        joules = [doc["engines"][engine]["Q6"]["optimized_j"]
+                  for engine in ("sqlite", "mysql")]
+        assert snap.operators == {
+            f"{engine}.Q6": {"energy_j": j, "time_s": None}
+            for engine, j in zip(("sqlite", "mysql"), joules)}
+        assert snap.total_energy_j == 0.0 + joules[0] + joules[1]
+
+        # An entry without a measurement is skipped, not counted as 0 J.
+        partial = copy.deepcopy(doc)
+        del partial["engines"]["mysql"]["Q6"]["optimized_j"]
+        other = load_snapshot(_write(tmp_path, "partial.json", partial))
+        assert list(other.operators) == ["sqlite.Q6"]
+        diff = diff_snapshots(other, snap)
+        assert diff["totals"]["delta_energy_j"] == snap.total_energy_j - \
+            other.total_energy_j
+        assert "mysql.Q6" in render_diff(diff)
