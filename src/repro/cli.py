@@ -572,17 +572,6 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.diff:
-        from repro.obs.diff import diff_snapshots, load_snapshot, render_diff
-
-        diff = diff_snapshots(load_snapshot(args.diff[0]),
-                              load_snapshot(args.diff[1]))
-        if args.json:
-            print(json.dumps(diff, indent=2, sort_keys=True))
-        else:
-            print(render_diff(diff, top=args.top))
-        return 0
-
     if args.compare:
         from repro.workloads.tpch.optimize import ENGINES as HARNESS_ENGINES
         from repro.workloads.tpch.optimize import run_optimizer_bench
@@ -913,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "optimize",
-        help="energy-aware optimizer: per-pass EXPLAIN, measured "
-             "compare harness, artifact diff",
+        help="energy-aware optimizer: per-pass EXPLAIN and measured "
+             "compare harness (diff artifacts with `repro diff`)",
     )
     _add_common(p)
     # EXPLAIN defaults to 10MB; --compare defers to the harness default
@@ -934,11 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --compare: the CI subset of queries")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="with --compare: write the artifact JSON")
-    p.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
-                   help="diff two --compare artifacts (ranked per-"
-                        "query Δ energy)")
-    p.add_argument("--top", type=int, default=10,
-                   help="with --diff: rows per ranked dimension")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable output")
     p.set_defaults(fn=cmd_optimize)

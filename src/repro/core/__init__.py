@@ -7,16 +7,13 @@ Calibrate once per machine/P-state, then break any workload down::
 
     machine = Machine(tiny_intel())
     cal = calibrate(machine)
-    profile = profile_workload(machine, "my workload", fn, cal.delta_e)
+    profile = profile_workload(machine, "my workload", fn, cal.delta_e,
+                               background=cal.background)
     print(profile.breakdown.shares_pct())
 """
 
 from repro.core.accuracy import VerificationReport, VerificationRow, verify
-from repro.core.breakdown import (
-    breakdown_measurement,
-    estimate_active_energy,
-    price_counters,
-)
+from repro.core.breakdown import estimate_active_energy, price_counters
 from repro.core.calibration import (
     CalibrationResult,
     calibrate,
@@ -49,7 +46,6 @@ __all__ = [
     "VerificationReport",
     "VerificationRow",
     "verify",
-    "breakdown_measurement",
     "estimate_active_energy",
     "price_counters",
     "CalibrationResult",

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.core.breakdown import estimate_active_energy
 from repro.core.model import DeltaE
-from repro.micro.measurement import BackgroundRates, measure_background
+from repro.micro.measurement import BackgroundRates
 from repro.micro.runner import MicroResult, RuntimeConfig, run_prepared
 from repro.micro.verification import prepare_verification, vmbs_for
 from repro.sim.machine import Machine
@@ -59,15 +59,15 @@ class VerificationReport:
 def verify(
     machine: Machine,
     delta_e: DeltaE,
+    *,
+    background: BackgroundRates,
     runtime: Optional[RuntimeConfig] = None,
-    background: Optional[BackgroundRates] = None,
     seed: int = 4321,
 ) -> VerificationReport:
-    """Run VMBS and score the calibrated dE table against measurements."""
+    """Run VMBS and score the calibrated dE table against measurements
+    (``background``: the calibration's idle-power measurement)."""
     if runtime is None:
         runtime = RuntimeConfig()
-    if background is None:
-        background = measure_background(machine)
     rows: list[VerificationRow] = []
     for name in vmbs_for(machine):
         prepared = prepare_verification(name, machine, seed=seed)

@@ -9,7 +9,6 @@ term is ``N_m * dE_m``; whatever the terms do not explain is
 from __future__ import annotations
 
 from repro.core.model import DeltaE, EnergyBreakdown
-from repro.micro.measurement import Measurement
 from repro.sim.pmu import PmuCounters
 
 
@@ -44,18 +43,6 @@ def price_counters(
         e_other=e_other,
         active_energy_j=active_energy_j,
         background_energy_j=background_energy_j,
-    )
-
-
-def breakdown_measurement(
-    measurement: Measurement, delta_e: DeltaE
-) -> EnergyBreakdown:
-    """Convenience: break down a :class:`Measurement` window."""
-    return price_counters(
-        measurement.counters,
-        delta_e,
-        measurement.active_energy_j,
-        measurement.background_energy_j,
     )
 
 

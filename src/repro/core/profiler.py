@@ -15,11 +15,7 @@ from typing import Callable, Optional
 
 from repro.core.breakdown import price_counters
 from repro.core.model import DeltaE, WorkloadProfile
-from repro.micro.measurement import (
-    BackgroundRates,
-    measure_background,
-    run_measured,
-)
+from repro.micro.measurement import BackgroundRates, run_measured
 from repro.sim.machine import Machine
 
 Workload = Callable[[], None]
@@ -30,7 +26,8 @@ def profile_workload(
     name: str,
     workload: Workload,
     delta_e: DeltaE,
-    background: Optional[BackgroundRates] = None,
+    *,
+    background: BackgroundRates,
     pstate: Optional[int] = None,
     prefetcher: bool = True,
     warmup: Optional[Workload] = None,
@@ -41,9 +38,9 @@ def profile_workload(
 
     Unlike micro-benchmarking, profiling keeps the hardware prefetcher
     on — §3 turns it back on because real deployments run that way.
+    ``background`` is the calibration's idle-power measurement
+    (``CalibrationResult.background``).
     """
-    if background is None:
-        background = measure_background(machine)
     if pstate is not None:
         machine.set_pstate(pstate)
     machine.set_prefetcher(prefetcher)

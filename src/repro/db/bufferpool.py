@@ -48,10 +48,10 @@ class PoolStats:
     """An immutable snapshot (or delta) of one pool's counters.
 
     Interleaved queries share one pool, so zeroing the live counters
-    between queries (the old ``reset_stats`` idiom) destroys every other
-    in-flight query's attribution.  Instead, callers snapshot at query
-    start and diff at query end — each execution context gets its own
-    exact per-query delta without touching shared state.
+    between queries would destroy every other in-flight query's
+    attribution.  Instead, callers snapshot at query start and diff at
+    query end — each execution context gets its own exact per-query
+    delta without touching shared state.
     """
 
     hits: int = 0
@@ -121,18 +121,6 @@ class BufferPool:
     def stats_since(self, snapshot: PoolStats) -> PoolStats:
         """Per-query attribution: the delta since ``snapshot``."""
         return self.stats().since(snapshot)
-
-    def reset_stats(self) -> None:
-        """Zero the live counters.
-
-        Only safe when no query is in flight: concurrent executions
-        attribute hit rates via snapshot/delta (:meth:`stats` /
-        :meth:`stats_since`), and zeroing underneath them corrupts every
-        open delta.
-        """
-        self.hits = 0
-        self.misses = 0
-        self.recycles = 0
 
     def _collect_metrics(self) -> None:
         """Export pool health into the machine's metrics registry."""

@@ -168,11 +168,6 @@ class NodeEnergy:
     children: tuple["NodeEnergy", ...] = ()
     breakdown_j: dict[str, float] = field(default_factory=dict)
 
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 class EnergyModel:
     """Predicts J/query for a logical plan under one engine profile.

@@ -46,8 +46,7 @@ class ExecSession:
     the same allocator-reuse behaviour the shared path models.
 
     The session also snapshots the buffer pool's counters at creation,
-    so per-query hit rates stay exact under interleaving (the
-    ``reset_stats`` idiom is not concurrency-safe; see
+    so per-query hit rates stay exact under interleaving (see
     :class:`~repro.db.bufferpool.PoolStats`).
     """
 
@@ -203,7 +202,7 @@ class Database:
         #: Optional logical-plan optimizer (see :mod:`repro.db.optimizer`);
         #: when set, :meth:`plan` rewrites every logical tree through it
         #: before lowering.  Off by default: hand-built plans run as
-        #: written unless a caller opts in via :meth:`enable_optimizer`.
+        #: written unless a caller sets it.
         self.optimizer = None
 
     # ------------------------------------------------------------ loading
@@ -317,18 +316,6 @@ class Database:
         if self.optimizer is not None:
             logical = self.optimizer.optimize(logical).plan
         return self._planner.lower(logical)
-
-    def enable_optimizer(self, delta_e=None) -> None:
-        """Route every subsequent :meth:`plan` through the energy-aware
-        optimizer (predicted-J-gated rewrites; calibrated ``delta_e``
-        sharpens the predictions but is not required)."""
-        from repro.db.optimizer import Optimizer
-
-        self.optimizer = Optimizer(self.catalog, self.profile,
-                                   delta_e=delta_e)
-
-    def disable_optimizer(self) -> None:
-        self.optimizer = None
 
     def sql(self, text: str):
         """Parse and execute one statement.

@@ -72,10 +72,6 @@ class OptimizationResult:
     predicted_baseline_j: float  # of the original plan
 
     @property
-    def changed(self) -> bool:
-        return self.plan != self.original
-
-    @property
     def kept_passes(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.passes if p.kept)
 

@@ -133,15 +133,6 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
             replaced = substitute(value, mapping)
             if replaced is not value:
                 kwargs[field.name] = replaced
-        elif isinstance(value, tuple) and any(
-            isinstance(part, Expr) for part in value
-        ):
-            replaced_t = tuple(
-                substitute(part, mapping) if isinstance(part, Expr) else part
-                for part in value
-            )
-            if replaced_t != value:
-                kwargs[field.name] = replaced_t
     return dataclasses.replace(expr, **kwargs) if kwargs else expr
 
 

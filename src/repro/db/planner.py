@@ -140,14 +140,6 @@ def _exprs_of(node: Logical) -> list[Expr]:
     raise PlanError(f"unknown logical node {type(node).__name__}")
 
 
-def _children_of(node: Logical) -> tuple[Logical, ...]:
-    if isinstance(node, Scan):
-        return ()
-    if isinstance(node, Join):
-        return (node.left, node.right)
-    return (node.child,)
-
-
 def collect_used_columns(node: Logical) -> tuple[set[str], set[str]]:
     """Columns referenced in the tree, plus tables whose *full* rows
     reach the output.

@@ -121,17 +121,14 @@ class Statistics:
             self._tables[name] = stats
         return stats
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop cached statistics (after DML) so they re-collect."""
-        if name is None:
-            self._tables.clear()
-            self._sample_joins.clear()
-        else:
-            self._tables.pop(name, None)
-            self._sample_joins = {
-                key: rows for key, rows in self._sample_joins.items()
-                if name not in (key[0], key[3])
-            }
+    def invalidate(self, name: str) -> None:
+        """Drop ``name``'s cached statistics (after DML) so they
+        re-collect."""
+        self._tables.pop(name, None)
+        self._sample_joins = {
+            key: rows for key, rows in self._sample_joins.items()
+            if name not in (key[0], key[3])
+        }
 
     def sample_join_rows(self, left_table: str, left_pred, left_key,
                          right_table: str, right_pred,

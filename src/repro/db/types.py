@@ -85,12 +85,6 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def offset_of(self, index: int) -> int:
-        return self.offsets[index]
-
-    def width_of(self, index: int) -> int:
-        return self.columns[index].width
-
     def project(self, names: Sequence[str]) -> "Schema":
         """A schema of the named columns, in the given order."""
         return Schema([self.column(n) for n in names])

@@ -97,14 +97,6 @@ def select_domain(counters: PmuCounters) -> str:
     return DOMAIN_CORE
 
 
-def _domain_energy(machine: Machine, domain: str) -> float:
-    if domain == DOMAIN_CORE:
-        return machine.rapl.energy_core()
-    if domain == DOMAIN_PACKAGE:
-        return machine.rapl.energy_package()
-    return machine.rapl.energy_package() + machine.rapl.energy_dram()
-
-
 def run_measured(
     machine: Machine,
     workload: Callable[[], None],

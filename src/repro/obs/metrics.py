@@ -172,9 +172,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------ output
 
-    def series(self) -> list:
-        return list(self._series.values())
-
     def snapshot(self) -> dict:
         """Refresh collectors and return ``{rendered_name: value}``.
 

@@ -130,7 +130,7 @@ class TimelineRecorder:
 
         with TimelineRecorder(machine, window_s=0.01, background=bg) as tl:
             server.run()
-        write_timeline(tl.rows(), "timeline.jsonl", tl.window_s)
+        write_timeline(tl.finish(), "timeline.jsonl", tl.window_s)
     """
 
     def __init__(self, machine: "Machine", window_s: float = 0.01,
@@ -292,9 +292,6 @@ class TimelineRecorder:
             self.machine.timeline = None
             self._rows = self._build_rows()
         return self._rows
-
-    def rows(self) -> list:
-        return self.finish()
 
     # ------------------------------------------------------------ rows
 

@@ -71,18 +71,6 @@ class NullTracer:
     def span(self, name: str, category: str = "span", **meta):
         return _NULL_SPAN
 
-    def open(self, name: str, category: str = "span", **meta) -> None:
-        return None
-
-    def enter(self, span) -> None:
-        return None
-
-    def exit(self, span) -> None:
-        return None
-
-    def wrap_rows(self, op, ctx):
-        return op.rows(ctx)
-
 
 #: Shared instance — stateless, safe to reuse across machines.
 NULL_TRACER = NullTracer()

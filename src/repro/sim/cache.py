@@ -157,10 +157,6 @@ class CacheLevel:
         self.dirty_evictions = 0
 
     @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
     def occupancy(self) -> int:
         """Number of valid lines currently resident (tracked incrementally)."""
         return self._occupancy

@@ -84,10 +84,6 @@ class CoreSet:
         )
         self._cold_cursor = 0
 
-    @property
-    def n_cores(self) -> int:
-        return len(self.cores)
-
     # ------------------------------------------------------------ switching
 
     def context_switch(self, core: Core, incoming: object) -> bool:

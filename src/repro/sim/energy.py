@@ -118,12 +118,6 @@ class EnergyAccount:
     uncore_background: float = 0.0
     dram_background: float = 0.0
 
-    def copy(self) -> "EnergyAccount":
-        return EnergyAccount(
-            self.core_active, self.uncore_active, self.dram_active,
-            self.core_background, self.uncore_background, self.dram_background,
-        )
-
 
 def active_energy_joules(
     counters: PmuCounters, table: EventEnergyTable, vf2: float
@@ -214,9 +208,6 @@ class RaplCounters:
     def energy_dram(self) -> float:
         """Cumulative dram-domain joules."""
         return self._account.dram_active + self._account.dram_background
-
-    def snapshot(self) -> EnergyAccount:
-        return self._account.copy()
 
     def reset(self) -> None:
         self._account = EnergyAccount()

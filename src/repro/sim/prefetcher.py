@@ -85,11 +85,6 @@ class StreamPrefetcher:
         self._l3up[:] = [-1] * n
         self._victim = 0
 
-    def reset_stats(self) -> None:
-        self.n_trained = 0
-        self.n_pf_l2_issued = 0
-        self.n_pf_l3_issued = 0
-
     def observe(self, line: int) -> tuple[range, range]:
         """Feed one L1D-miss line number to the prefetcher.
 

@@ -39,10 +39,6 @@ class CodesignReport:
     btree_nodes_relocated: int = 0
     leaf_nodes_relocated: int = 0
 
-    @property
-    def total_nodes(self) -> int:
-        return self.btree_nodes_relocated + self.leaf_nodes_relocated
-
 
 def scale_budgets(machine: Machine) -> tuple[int, int, int]:
     """The three §4.2 budgets, scaled with the machine's DTCM size."""

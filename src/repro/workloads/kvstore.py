@@ -320,7 +320,7 @@ class LsmStore:
 
 # ------------------------------------------------------------ YCSB mixes
 
-YCSB_WORKLOADS = ("load", "a", "b", "c", "e")
+YCSB_WORKLOADS = ("a", "c", "e")
 
 
 def build_store(machine: Machine, n_keys: int = 2000,
@@ -358,13 +358,8 @@ def run_ycsb(machine: Machine, store: LsmStore, workload: str,
         store.put(n_keys + rng.randrange(1 << 20), "i")
         counts["insert"] += 1
 
-    if workload == "load":
-        mix = [(1.0, insert)]
-        ops = ops  # pure inserts
-    elif workload == "a":
+    if workload == "a":
         mix = [(0.5, read), (1.0, update)]
-    elif workload == "b":
-        mix = [(0.95, read), (1.0, update)]
     elif workload == "c":
         mix = [(1.0, read)]
     elif workload == "e":

@@ -68,10 +68,6 @@ class ScaleTier:
     parts: int
     suppliers: int
 
-    @property
-    def partsupps(self) -> int:
-        return self.parts * 4  # spec: 4 suppliers per part
-
     def __post_init__(self) -> None:
         if min(self.customers, self.orders, self.parts, self.suppliers) < 4:
             raise ConfigError(f"tier {self.name!r} too small to be meaningful")

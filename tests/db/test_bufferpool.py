@@ -113,7 +113,7 @@ class TestPoolStats:
         f = make_file(machine)
         pool.fetch(f, 0)
         pool.stats()
-        assert pool.misses == 1  # unlike reset_stats, stats() is pure
+        assert pool.misses == 1  # stats() is pure
 
     def test_delta_since_snapshot(self, machine):
         pool = BufferPool(machine, 8 * 1024, 1024)

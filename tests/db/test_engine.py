@@ -5,7 +5,7 @@ import pytest
 from repro import Machine, tiny_intel
 from repro.db import Database, mysql_like, postgres_like, sqlite_like
 from repro.db.exprs import Col
-from repro.db.planner import Scan, Sort
+from repro.db.planner import Distinct, Filter, Join, Project, Scan, Sort
 from repro.db.table import ClusteredTable, HeapTable
 from repro.db.types import Column, INT, Schema
 from repro.errors import CatalogError
@@ -65,6 +65,29 @@ class TestExecute:
         db.create_table("t", SCHEMA, ROWS)
         text = db.explain(Sort(Scan("t"), ((Col("v"), True),)))
         assert "Sort" in text and "SeqScan" in text
+
+    @pytest.mark.parametrize("profile, join_lines", [
+        (sqlite_like, ["        IndexNLJoin[inner](u.uk)",
+                       "          SeqScan(t)"]),
+        (postgres_like, ["        HashJoin[inner]",
+                         "          SeqScan(t)",
+                         "          SeqScan(u)"]),
+    ])
+    def test_explain_indents_every_operator(self, profile, join_lines):
+        db = Database(Machine(tiny_intel()), profile())
+        db.create_table("t", SCHEMA, ROWS)
+        db.create_table("u", Schema([Column("uk", INT), Column("w", INT)]),
+                        [(i, i % 5) for i in range(50)], primary_key="uk")
+        join = Join(Scan("t"), Scan("u"), Col("v"), Col("uk"))
+        plan = Sort(Distinct(Project(Filter(join, Col("w") > 1),
+                                     (("w", Col("w")),))),
+                    ((Col("w"), False),), 3)
+        assert db.explain(plan).splitlines() == [
+            "TopNHeap(1 keys, n=3)",
+            "  Distinct",
+            "    Project(w)",
+            "      Filter",
+        ] + join_lines
 
     def test_clear_caches_forces_disk(self):
         machine = Machine(tiny_intel())

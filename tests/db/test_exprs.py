@@ -166,3 +166,51 @@ class TestHelpers:
 
     def test_and_all_empty(self):
         assert E.and_all([]) is None
+
+
+#: One expression of each node type ``peek_eval`` models, with both
+#: outcomes of the boolean ones and both arms of ``CaseWhen``.
+PEEK_EXPRS = [
+    E.Col("a") + E.Const(3), E.Col("a") - E.Const(2),
+    E.Col("b") * E.Const(2), E.Col("a") / E.Const(2),
+    E.Col("a") < E.Const(10), E.Col("a").ne(7),
+    E.And(E.Col("a") > E.Const(1), E.Col("b") < E.Const(3)),
+    E.Or(E.Col("a").eq(0), E.Col("a").eq(7)),
+    E.Or(E.Col("a").eq(0), E.Col("a").eq(1)),
+    E.Not(E.Col("a").eq(0)),
+    E.Between(E.Col("a"), 5, 9), E.InList(E.Col("a"), (1, 7)),
+    E.StrPrefix(E.Col("s"), "hello"), E.StrSuffix(E.Col("s"), "world"),
+    E.StrContains(E.Col("s"), "lo wo"), E.StrSlice(E.Col("s"), 0, 5),
+    E.ExtractYear(E.Col("d")), E.TupleOf(E.Col("a"), E.Col("b")),
+    E.CaseWhen(E.Col("a") > E.Const(5), E.Const("big"), E.Const("small")),
+    E.CaseWhen(E.Col("a") > E.Const(50), E.Const("big"), E.Const("small")),
+]
+
+
+class TestPeekEval:
+    """``peek_eval`` (statistics samples) computes what the compiled
+    evaluator computes, charge-free."""
+
+    INDEX_OF = {name: i for i, name in enumerate(SCHEMA.names())}
+
+    @pytest.mark.parametrize("expr", PEEK_EXPRS, ids=repr)
+    def test_matches_compiled(self, machine, expr):
+        before = machine.cpu.counters.as_dict()
+        peeked = E.peek_eval(expr, ROW, self.INDEX_OF)
+        assert machine.cpu.counters.as_dict() == before
+        assert peeked == run(expr, machine)
+
+    @pytest.mark.parametrize("expr", [
+        E.Col("a") + E.Const(1), E.Col("a") < E.Const(10),
+    ])
+    def test_null_matches_compiled(self, machine, expr):
+        row = (None,) + ROW[1:]
+        assert (E.peek_eval(expr, row, self.INDEX_OF)
+                == run(expr, machine, row))
+
+    def test_unmodelled_node_raises(self):
+        class Opaque(E.Expr):
+            pass
+
+        with pytest.raises(PlanError):
+            E.peek_eval(Opaque(), ROW, self.INDEX_OF)

@@ -7,6 +7,7 @@ from repro import Machine, tiny_intel
 from repro.db import Database, mysql_like, postgres_like, sqlite_like
 from repro.db.exprs import Col
 from repro.db.optimizer import Optimizer, default_passes
+from repro.db.optimizer.explain import _fmt_j, render_explain
 from repro.db.optimizer.strategies import (
     LimitPushdown,
     OptimizationStrategy,
@@ -14,7 +15,7 @@ from repro.db.optimizer.strategies import (
     PredicatePushdown,
     ProjectionPruning,
 )
-from repro.db.planner import Limit, Scan, Sort
+from repro.db.planner import Limit, Project, Scan, Sort
 from repro.workloads.tpch import TpchData, load_into
 from repro.workloads.tpch.queries import QUERIES
 
@@ -159,3 +160,109 @@ class TestDefaultPipeline:
             "predicate-pushdown", "projection-pruning", "limit-pushdown",
             "join-order", "access-path",
         ]
+
+
+class TestExplain:
+    """``render_explain``: the per-pass audit, then the energy tree."""
+
+    @pytest.mark.parametrize("number", [3, 6])
+    def test_lists_each_pass_once_and_roots_at_the_plan_total(self, db,
+                                                               number):
+        optimizer = Optimizer(db.catalog, db.profile)
+        result = optimizer.optimize(QUERIES[number].plan)
+        lines = render_explain(result, optimizer.model).splitlines()
+        first_words = [line.split()[0] for line in lines if line.strip()]
+        for strategy in default_passes():
+            assert first_words.count(strategy.name) == 1, strategy.name
+        root_line = lines[lines.index("") + 1]
+        total_j = optimizer.model.estimate(result.plan).total_j
+        assert root_line.endswith(f"subtree {_fmt_j(total_j):>11}")
+
+    def test_fmt_j_switches_units_at_the_boundaries(self):
+        assert _fmt_j(2.5) == "2.500 J"
+        assert _fmt_j(1.0) == "1.000 J"
+        assert _fmt_j(0.999) == "999.000 mJ"
+        assert _fmt_j(1e-3) == "1.000 mJ"
+        assert _fmt_j(9.99e-4) == "999.00 uJ"
+        assert _fmt_j(2.5e-7) == "0.25 uJ"
+
+
+def _rows_equal(db, original, rewritten):
+    assert db.execute(rewritten) == db.execute(original)
+
+
+class TestLimitPushdownShapes:
+    """Each ``LimitPushdown`` rewrite on a hand-built plan: the expected
+    shape, and the same rows as the plan it rewrote."""
+
+    KEYS = ((Col("o_orderkey"), True),)
+
+    @pytest.mark.parametrize("outer, inner", [(3, 5), (5, 3)])
+    def test_stacked_limits_collapse_to_the_tighter(self, db, ctx, outer,
+                                                    inner):
+        scan = Scan("orders")
+        plan = Limit(Limit(scan, inner), outer)
+        rewritten = LimitPushdown().apply(plan, ctx)
+        assert rewritten == Limit(scan, min(outer, inner))
+        _rows_equal(db, plan, rewritten)
+
+    @pytest.mark.parametrize("sort_limit, expected", [
+        (None, 4), (10, 4), (2, 2),
+    ])
+    def test_limit_over_sort_becomes_a_bounded_sort(self, db, ctx,
+                                                    sort_limit, expected):
+        scan = Scan("orders")
+        plan = Limit(Sort(scan, self.KEYS, sort_limit), 4)
+        rewritten = LimitPushdown().apply(plan, ctx)
+        assert rewritten == Sort(scan, self.KEYS, expected)
+        _rows_equal(db, plan, rewritten)
+
+    def test_limit_slides_below_a_projection(self, db, ctx):
+        scan = Scan("orders")
+        outputs = (("k", Col("o_orderkey")), ("p", Col("o_totalprice")))
+        plan = Limit(Project(scan, outputs), 5)
+        rewritten = LimitPushdown().apply(plan, ctx)
+        assert rewritten == Project(Limit(scan, 5), outputs)
+        _rows_equal(db, plan, rewritten)
+
+    def test_limit_stack_over_project_over_sort(self, db, ctx):
+        scan = Scan("orders")
+        outputs = (("k", Col("o_orderkey")),)
+        plan = Limit(Limit(Project(Sort(scan, self.KEYS), outputs), 6), 9)
+        rewritten = LimitPushdown().apply(plan, ctx)
+        assert rewritten == Project(Sort(scan, self.KEYS, 6), outputs)
+        _rows_equal(db, plan, rewritten)
+
+
+class TestProjectionMerge:
+    """``ProjectionPruning`` on stacked projections."""
+
+    INNER = (("k", Col("n_nationkey")), ("r", Col("n_regionkey")))
+
+    def test_outer_composes_through_the_inner(self, db, ctx):
+        scan = Scan("nation")
+        plan = Project(Project(scan, self.INNER),
+                       (("s", Col("k") + Col("r")), ("k", Col("k"))))
+        rewritten = ProjectionPruning().apply(plan, ctx)
+        assert rewritten == Project(scan, (
+            ("s", Col("n_nationkey") + Col("n_regionkey")),
+            ("k", Col("n_nationkey")),
+        ))
+        _rows_equal(db, plan, rewritten)
+
+    def test_pure_reselection_disappears(self, db, ctx):
+        scan = Scan("nation")
+        inner = Project(scan, self.INNER)
+        plan = Project(inner, (("k", Col("k")), ("r", Col("r"))))
+        rewritten = ProjectionPruning().apply(plan, ctx)
+        assert rewritten == inner
+        _rows_equal(db, plan, rewritten)
+
+    def test_reordering_reselection_composes(self, db, ctx):
+        scan = Scan("nation")
+        plan = Project(Project(scan, self.INNER),
+                       (("r", Col("r")), ("k", Col("k"))))
+        rewritten = ProjectionPruning().apply(plan, ctx)
+        assert rewritten == Project(scan, (("r", Col("n_regionkey")),
+                                           ("k", Col("n_nationkey"))))
+        _rows_equal(db, plan, rewritten)

@@ -109,3 +109,77 @@ class TestSampleJoin:
         args = ("orders", None, Col("o_custkey"),
                 "customer", None, Col("c_custkey"))
         assert stats.sample_join_rows(*args) == stats.sample_join_rows(*args)
+
+
+class TestSampledConjunct:
+    """``EnergyModel._sampled_conjunct``: per-shape sampled selectivity,
+    composed the way the shape heuristics compose."""
+
+    @pytest.fixture(scope="class")
+    def model(self, db, stats):
+        from repro.db.costs import EnergyModel
+
+        return EnergyModel(db.catalog, db.profile, stats=stats)
+
+    @staticmethod
+    def sel(model, expr):
+        return model._sampled_conjunct("lineitem", expr)
+
+    def test_comparisons_read_the_column_statistics(self, model, stats):
+        from repro.db.exprs import Cmp, Col, Const
+
+        cs = stats.table("lineitem").column("l_quantity")
+        q, v = Col("l_quantity"), Const(25)
+        expected = {
+            "=": cs.eq_selectivity(25),
+            "!=": 1.0 - cs.eq_selectivity(25),
+            "<": cs.range_selectivity(hi=25, hi_strict=True),
+            "<=": cs.range_selectivity(hi=25),
+            ">": cs.range_selectivity(lo=25, lo_strict=True),
+            ">=": cs.range_selectivity(lo=25),
+        }
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+        for op, want in expected.items():
+            assert self.sel(model, Cmp(op, q, v)) == want, op
+            # Constant on the left: the comparison is mirrored.
+            mirrored = Cmp(flipped.get(op, op), v, q)
+            assert self.sel(model, mirrored) == want, op
+
+    def test_boolean_shapes_compose(self, model):
+        from repro.db.costs import conjunct_selectivity
+        from repro.db.exprs import And, Col, Not, Or, StrPrefix
+
+        low = Col("l_quantity") <= 10
+        high = Col("l_discount") > 0.05
+        opaque = StrPrefix(Col("l_shipmode"), "A")
+        s_low, s_high = self.sel(model, low), self.sel(model, high)
+        assert self.sel(model, And(low, high)) == s_low * s_high
+        assert self.sel(model, Or(low, high)) == min(1.0, s_low + s_high)
+        assert self.sel(model, Not(low)) == 1.0 - s_low
+        # An unsampled part falls back to its shape guess.
+        assert self.sel(model, And(low, opaque)) == (
+            s_low * conjunct_selectivity(opaque))
+        assert self.sel(model, opaque) is None
+        assert self.sel(model, Not(opaque)) is None
+
+    def test_between_and_in_list(self, model, stats):
+        from repro.db.exprs import Between, Col, InList
+
+        cs = stats.table("lineitem").column("l_quantity")
+        assert self.sel(model, Between(Col("l_quantity"), 5, 15)) == (
+            cs.range_selectivity(lo=5, hi=15))
+        in_list = InList(Col("l_quantity"), (3, 7, 7))
+        assert self.sel(model, in_list) == min(
+            1.0, cs.eq_selectivity(3) + cs.eq_selectivity(7))
+        unseen = InList(Col("l_quantity"), (3, object()))
+        assert self.sel(model, unseen) is None
+
+    def test_untracked_shapes_are_not_sampled(self, model):
+        from repro.db.exprs import Between, Cmp, Col, Const, InList
+
+        assert self.sel(model, Cmp("<", Col("l_quantity") + 1,
+                                   Const(5))) is None
+        for expr in (Cmp("=", Col("nope"), Const(1)),
+                     Between(Col("nope"), 1, 2),
+                     InList(Col("nope"), (1,))):
+            assert self.sel(model, expr) is None

@@ -1,5 +1,7 @@
 """Tests of the metrics registry and the built-in machine collectors."""
 
+import math
+
 import pytest
 
 from repro import Machine, tiny_intel
@@ -47,6 +49,9 @@ class TestInstruments:
         assert h.quantile(1.0) == 100.0
         with pytest.raises(ConfigError):
             h.quantile(1.5)
+
+    def test_empty_histogram_has_no_quantile(self):
+        assert math.isnan(Histogram("lat", {}).quantile(0.5))
 
 
 class TestRegistry:

@@ -70,9 +70,11 @@ class TestConservation:
     def test_split_matches_full_tracer(self, chaos_reports):
         full = run_serve(_chaos_config(telemetry="full"))
         sampled = chaos_reports[1.0]
-        assert (sampled["energy"]["total_active_j"]
-                == pytest.approx(full["energy"]["total_active_j"],
-                                 abs=1e-12))
+        total = sampled["energy"]["total_active_j"]
+        assert sampled["energy"]["check_sum_j"] == pytest.approx(
+            total, rel=1e-12)
+        assert total == pytest.approx(full["energy"]["total_active_j"],
+                                      rel=1e-12)
         assert (sampled["energy"]["wasted_energy_j"]
                 == pytest.approx(full["energy"]["wasted_energy_j"],
                                  abs=1e-12))
@@ -141,6 +143,27 @@ class TestAggregator:
         assert any(row["microops"]["load"] > 0 for row in rows.values())
         assert any(row["cache_levels"]["L1D"]["accesses"] > 0
                    for row in rows.values())
+
+    @pytest.mark.parametrize("trace_operators", [False, True])
+    def test_operator_rows_traced_only_on_request(self, sqlite_db,
+                                                  trace_operators):
+        """Without ``trace_operators`` an executed plan's rows pass
+        straight through: no operator groups, same rows, and the group
+        table still partitions the window."""
+        statement = ("SELECT r_name, COUNT(*) FROM region GROUP BY r_name"
+                     " ORDER BY r_name")
+        untraced = sqlite_db.sql(statement)
+        agg = SamplingAggregator(sqlite_db.machine,
+                                 trace_operators=trace_operators)
+        with agg:
+            rows = sqlite_db.sql(statement)
+        summary = agg.finish()
+        assert rows == untraced
+        categories = {key[0] for key in summary.groups}
+        assert ("operator" in categories) is trace_operators
+        table = summary.group_table()
+        total = sum(row["active_j"] for row in table.values())
+        assert total == pytest.approx(summary.total_active_j, rel=1e-9)
 
     def test_null_telemetry_totals(self, quiet_machine):
         null = NullTelemetry(quiet_machine)

@@ -7,6 +7,7 @@ from repro.errors import TraceError
 from repro.obs import NULL_TRACER, SamplingAggregator, Tracer
 from repro.obs.span import CATEGORY_OPERATOR
 from repro.sim.machine import Machine
+from repro.sim.pmu import PmuCounters
 
 
 def _work(machine, n=64):
@@ -215,3 +216,79 @@ class TestNullTracer:
     def test_disabled(self):
         assert NULL_TRACER.enabled is False
         assert Tracer.enabled is True
+
+
+class _Boom:
+    """A physical-operator stand-in that yields two rows, then raises."""
+
+    def __init__(self, machine):
+        self.machine = machine
+
+    def describe(self) -> str:
+        return "Boom"
+
+    def rows(self, ctx):
+        for i in range(2):
+            _work(self.machine, 8)
+            yield (i,)
+        _work(self.machine, 8)
+        raise RuntimeError("boom mid-pull")
+
+
+class _Parent:
+    """Pulls its child through the tracer, as real operators do."""
+
+    def __init__(self, child):
+        self.child = child
+
+    def describe(self) -> str:
+        return "Parent"
+
+    def rows(self, ctx):
+        for row in ctx.tracer.wrap_rows(self.child, ctx):
+            _work(ctx.machine, 4)
+            yield row
+
+
+class TestOperatorError:
+    """An operator that raises mid-pull: the error reaches the caller
+    through every traced frame, each frame exits its region on the way
+    out, and the run still finishes with an exact partition."""
+
+    @pytest.mark.parametrize("make", [
+        Tracer,
+        lambda machine: SamplingAggregator(machine, trace_operators=True),
+    ], ids=["tracer", "sampler"])
+    def test_error_propagates_and_leaves_the_stack_balanced(
+            self, quiet_machine, make):
+        from types import SimpleNamespace
+
+        machine = quiet_machine
+        before = machine.pmu.snapshot()
+        tracer = make(machine)
+        ctx = SimpleNamespace(tracer=tracer, machine=machine)
+        pulled = []
+        with tracer:
+            with tracer.span("query") as query:
+                rows = tracer.wrap_rows(_Parent(_Boom(machine)), ctx)
+                with pytest.raises(RuntimeError, match="boom mid-pull"):
+                    for row in rows:
+                        pulled.append(row)
+                assert tracer._stack[-1] is query
+            assert len(tracer._stack) == 1
+        result = tracer.finish()  # no TraceError
+        assert pulled == [(0,), (1,)]
+        machine.settle()
+        window = machine.pmu.since(before)
+        if isinstance(tracer, Tracer):
+            (parent,) = result.root.children[0].children
+            (boom,) = parent.children
+            assert (parent.meta["rows"], boom.meta["rows"]) == (2, 2)
+            assert boom.enters == 3
+            counted = result.root.inclusive_counters()
+        else:
+            counted = PmuCounters()
+            for agg in result.groups.values():
+                counted.accumulate(agg.counters)
+        assert counted.instructions == window.instructions
+        assert counted.n_l1d == window.n_l1d

@@ -252,3 +252,50 @@ class TestChaosCommand:
         err = capsys.readouterr().err
         assert err.startswith("repro chaos: error:")
         assert "Traceback" not in err
+
+
+class TestDiffCommand:
+    """``repro diff`` over two optimizer-harness artifacts (the command
+    that diffs ``repro optimize --compare --out`` files)."""
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        from repro.workloads.tpch.optimize import run_optimizer_bench
+
+        out = tmp_path_factory.mktemp("opt-diff")
+        paths = []
+        for name, queries in (("a.json", (6,)), ("b.json", (3, 6))):
+            doc = run_optimizer_bench(quick=True, engines=("sqlite",),
+                                      queries=queries)
+            path = out / name
+            path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+            paths.append(str(path))
+        return paths
+
+    def test_json_matches_the_library_diff(self, artifacts, capsys):
+        from repro.obs.diff import diff_snapshots, load_snapshot
+
+        a, b = artifacts
+        assert main(["diff", a, b, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        expected = diff_snapshots(load_snapshot(a), load_snapshot(b))
+        assert printed == json.loads(json.dumps(expected))
+        assert printed["kind"] == "optimizer"
+        names = {row["name"] for row in printed["dims"]["operator"]}
+        assert "sqlite.Q3" in names
+
+    def test_text_ranks_per_query_energy(self, artifacts, capsys):
+        a, b = artifacts
+        assert main(["diff", a, b, "--top", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"diff (optimizer): A={a}  B={b}")
+        assert "-- Δ energy by operator (top 2) --" in out
+        # Q6 is in both artifacts; Q3, only in B, has no delta and
+        # ranks after it.
+        assert out.index("sqlite.Q6") < out.index("sqlite.Q3")
+        assert main(["diff", a, b, "--top", "1"]) == 0
+        assert "sqlite.Q3" not in capsys.readouterr().out
+
+    def test_optimize_has_no_diff_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["optimize", "--diff", "a", "b"])

@@ -73,3 +73,39 @@ def test_plan_fixes_order_matches_tpch_shapes():
     aggregate is not."""
     assert plan_fixes_order(QUERIES[1].plan)
     assert not plan_fixes_order(QUERIES[19].plan)
+
+
+def test_harness_measures_a_multi_pass_query():
+    """``compare_query`` on a plan-less query: the hand-built run plans
+    as written, the optimized run through the engine hook, and both
+    return the same rows."""
+    from repro.workloads.tpch.optimize import run_optimizer_bench
+
+    doc = run_optimizer_bench(quick=True, engines=("sqlite",),
+                              queries=(15,))
+    entry = doc["engines"]["sqlite"]["Q15"]
+    assert entry["rows_match"]
+    assert entry["handbuilt_j"] > 0 and entry["optimized_j"] > 0
+    assert entry["outcome"] in ("win", "tie", "regression")
+
+
+def test_outcome_bands():
+    from repro.workloads.tpch.optimize import REGRESSION_EPSILON, _outcome
+
+    worse = 1.0 + 2 * REGRESSION_EPSILON
+    assert _outcome(1.0, 0.5, ("join-order",)) == "win"
+    assert _outcome(1.0, 0.5) == "tie"  # no rewrite kept: jitter
+    assert _outcome(1.0, worse, ("join-order",)) == "regression"
+    assert _outcome(1.0, worse) == "tie"
+    assert _outcome(1.0, 1.0, ("join-order",)) == "tie"
+
+
+def test_rows_equal_rejects_each_kind_of_difference():
+    assert rows_equal([(1, 2.0)], [(1, 2.0 + 1e-9)], ordered=True)
+    assert rows_equal([(1,), (2,)], [(2,), (1,)], ordered=False)
+    assert not rows_equal([(1,), (2,)], [(2,), (1,)], ordered=True)
+    assert not rows_equal([(1,)], [(1,), (2,)], ordered=False)
+    assert not rows_equal([(1, 2)], [(1,)], ordered=False)
+    assert not rows_equal([(1, 2.0)], [(1, 2.5)], ordered=False)
+    # A float beside a non-number compares by plain equality.
+    assert not rows_equal([(1.0,)], [("x",)], ordered=True)
