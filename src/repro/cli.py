@@ -33,6 +33,7 @@ status 2 and a one-line message, never a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -51,7 +52,7 @@ from repro.core import (
 )
 from repro.db import Database, ENGINES, engine_profile
 from repro.db.profiles import SETTINGS
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.logconfig import configure_logging
 from repro.seeding import derive_seed
 from repro.workloads.tpch import (
@@ -428,18 +429,35 @@ def _serve_config(args, **extra):
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         queue_timeout_s=args.queue_timeout,
-        telemetry=args.telemetry,
-        exemplar_rate=args.exemplar_rate,
-        reservoir_size=args.reservoir_size,
-        timeline_out=args.timeline_out,
-        timeline_window_s=args.timeline_window,
+        **{field: getattr(args, dest)
+           for dest, field in _TELEMETRY_FLAG_FIELDS},
         **extra,
     )
 
 
+#: (CLI dest, ServeConfig field) pairs of the serve loop's telemetry
+#: flags.  The cluster records no telemetry, so cluster mode refuses
+#: any of them left off its default rather than drop it.
+_TELEMETRY_FLAG_FIELDS = (
+    ("telemetry", "telemetry"),
+    ("exemplar_rate", "exemplar_rate"),
+    ("reservoir_size", "reservoir_size"),
+    ("timeline_out", "timeline_out"),
+    ("timeline_window", "timeline_window_s"),
+)
+
+
 def _cluster_config(args, **extra):
     from repro.cluster import ClusterConfig
+    from repro.serve import ServeConfig
 
+    defaults = {f.name: f.default for f in dataclasses.fields(ServeConfig)}
+    given = [dest for dest, field in _TELEMETRY_FLAG_FIELDS
+             if getattr(args, dest) != defaults[field]]
+    if given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        raise ConfigError(f"{flags}: not supported in cluster mode "
+                          f"(the cluster records no telemetry)")
     return ClusterConfig(
         **_run_kwargs(args),
         nodes=args.nodes,
@@ -493,7 +511,7 @@ def cmd_serve(args) -> int:
     # The summary goes to stderr so piping the JSON report from stdout
     # stays clean.
     _run(config, emit=True, out=args.out, summary=sys.stderr)
-    if args.timeline_out and not args.cluster:
+    if args.timeline_out:
         print(f"wrote {args.timeline_out}", file=sys.stderr)
     return 0
 

@@ -52,7 +52,9 @@ from repro.db.planner import (
     choose_range_conjunct,
     index_nl_column,
 )
+from repro.db.operators.join import HASH_ENTRY_BYTES
 from repro.db.profiles import CLUSTERED, INDEX_NL_JOIN, EngineProfile
+from repro.sim.address_space import LINE_SIZE as LINE
 
 #: Default selectivity of a predicate conjunct with no statistics.
 DEFAULT_SELECTIVITY = 0.33
@@ -135,18 +137,16 @@ def tables_used(node: Logical) -> tuple[str, ...]:
 
 # ------------------------------------------------------------ energy model
 
-#: Cache-line granularity of all modelled data traffic.
-LINE = 64
-
 #: Predicted stall events per latency-exposed (random) memory access;
 #: sequential streams are prefetch-covered and charge far fewer.
 RANDOM_STALLS = 6.0
 STREAM_STALLS = 0.5
 
-#: The executor's chained hash table (``operators.join``): fixed-width
-#: entries in the temp arena — row payloads stay host-side, so hash
-#: memory traffic scales with entry *count*, not row width.
-HASH_ENTRY_BYTES = 24.0
+#: Hash tables are priced with the executor's own fixed-width entries
+#: (``operators.join.HASH_ENTRY_BYTES``) in the temp arena — row
+#: payloads stay host-side, so hash memory traffic scales with entry
+#: *count*, not row width.  The bucket array is a modelling choice,
+#: not the executor's sizing.
 HASH_BUCKET_BYTES = 2048 * 8.0
 
 

@@ -18,7 +18,8 @@ hot attributes in registers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from repro.errors import PlanError
@@ -38,6 +39,18 @@ _CMP_OPS = {
 
 _ARITH_ADD = {"+", "-"}
 _ARITH_MUL = {"*", "/"}
+
+
+def _free(n: int) -> None:
+    """A micro-op charge that costs nothing."""
+
+
+#: Machine stand-in whose ``cmp``/``branch``/``add``/``mul``/``other``
+#: charge nothing: an expression compiled against it computes what it
+#: computes on a real machine, for statistics samples evaluated outside
+#: any measured window.
+UNCHARGED = SimpleNamespace(cmp=_free, branch=_free, add=_free,
+                            mul=_free, other=_free)
 
 
 class Expr:
@@ -392,42 +405,41 @@ class CaseWhen(Expr):
         return run
 
 
+#: Nodes whose sub-expressions are one variadic ``parts`` tuple.
+_VARIADIC = (And, Or, TupleOf)
+
+
+def _child_fields(expr: Expr) -> list[str]:
+    """Names of ``expr``'s fields that hold one sub-expression each."""
+    return [f.name for f in fields(expr)
+            if isinstance(getattr(expr, f.name), Expr)]
+
+
+def children(expr: Expr) -> tuple:
+    """The direct sub-expressions of ``expr``, in field order."""
+    if isinstance(expr, _VARIADIC):
+        return expr.parts
+    return tuple(getattr(expr, name) for name in _child_fields(expr))
+
+
+def with_children(expr: Expr, new: Sequence[Expr]) -> Expr:
+    """``expr`` rebuilt over ``new`` (one per :func:`children` entry);
+    ``expr`` itself when every child is unchanged."""
+    if all(a is b for a, b in zip(children(expr), new)):
+        return expr
+    if isinstance(expr, _VARIADIC):
+        return type(expr)(*new)
+    return replace(expr, **dict(zip(_child_fields(expr), new)))
+
+
 def columns_used(expr: Expr) -> set[str]:
     """Every column name referenced anywhere inside ``expr``."""
-    out: set[str] = set()
-    _collect(expr, out)
-    return out
-
-
-def _collect(expr: Expr, out: set[str]) -> None:
     if isinstance(expr, Col):
-        out.add(expr.name)
-    elif isinstance(expr, (Cmp, Arith)):
-        _collect(expr.left, out)
-        _collect(expr.right, out)
-    elif isinstance(expr, (And, Or)):
-        for part in expr.parts:
-            _collect(part, out)
-    elif isinstance(expr, Not):
-        _collect(expr.part, out)
-    elif isinstance(
-        expr,
-        (Between, InList, StrPrefix, StrContains, StrSuffix, ExtractYear),
-    ):
-        _collect(expr.part, out)
-    elif isinstance(expr, StrSlice):
-        _collect(expr.part, out)
-    elif isinstance(expr, TupleOf):
-        for part in expr.parts:
-            _collect(part, out)
-    elif isinstance(expr, CaseWhen):
-        _collect(expr.cond, out)
-        _collect(expr.then, out)
-        _collect(expr.otherwise, out)
-    elif isinstance(expr, Const):
-        pass
-    else:
-        raise PlanError(f"unknown expression node {type(expr).__name__}")
+        return {expr.name}
+    out: set[str] = set()
+    for child in children(expr):
+        out |= columns_used(child)
+    return out
 
 
 def conjuncts(expr: Optional[Expr]) -> list[Expr]:
@@ -450,76 +462,3 @@ def and_all(parts: Sequence[Expr]) -> Optional[Expr]:
     if len(parts) == 1:
         return parts[0]
     return And(*parts)
-
-
-_PEEK_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
-def peek_eval(expr: Expr, row: tuple, index_of: dict):
-    """Evaluate ``expr`` against a raw row tuple without a machine —
-    same semantics as the compiled evaluators (NULL-collapsing
-    comparisons, NULL-propagating arithmetic) but charge-free, for use
-    on statistics samples outside any measured window.  Raises
-    :class:`~repro.errors.PlanError` on expression nodes it does not
-    model; callers fall back to shape heuristics."""
-    if isinstance(expr, Col):
-        return row[index_of[expr.name]]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Cmp):
-        a = peek_eval(expr.left, row, index_of)
-        b = peek_eval(expr.right, row, index_of)
-        if a is None or b is None:
-            return False
-        return _PEEK_CMP[expr.op](a, b)
-    if isinstance(expr, Arith):
-        a = peek_eval(expr.left, row, index_of)
-        b = peek_eval(expr.right, row, index_of)
-        if a is None or b is None:
-            return None
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        return a / b
-    if isinstance(expr, And):
-        return all(peek_eval(p, row, index_of) for p in expr.parts)
-    if isinstance(expr, Or):
-        return any(peek_eval(p, row, index_of) for p in expr.parts)
-    if isinstance(expr, Not):
-        return not peek_eval(expr.part, row, index_of)
-    if isinstance(expr, Between):
-        value = peek_eval(expr.part, row, index_of)
-        return expr.lo <= value <= expr.hi
-    if isinstance(expr, InList):
-        return peek_eval(expr.part, row, index_of) in expr.values
-    if isinstance(expr, StrPrefix):
-        return str(peek_eval(expr.part, row, index_of)).startswith(expr.prefix)
-    if isinstance(expr, StrSuffix):
-        return str(peek_eval(expr.part, row, index_of)).endswith(expr.suffix)
-    if isinstance(expr, StrContains):
-        return expr.needle in str(peek_eval(expr.part, row, index_of))
-    if isinstance(expr, StrSlice):
-        return str(peek_eval(expr.part, row, index_of))[expr.start:expr.stop]
-    if isinstance(expr, ExtractYear):
-        from datetime import date as _date
-
-        return _date.fromordinal(
-            int(peek_eval(expr.part, row, index_of))
-        ).year
-    if isinstance(expr, TupleOf):
-        return tuple(peek_eval(p, row, index_of) for p in expr.parts)
-    if isinstance(expr, CaseWhen):
-        if peek_eval(expr.cond, row, index_of):
-            return peek_eval(expr.then, row, index_of)
-        return peek_eval(expr.otherwise, row, index_of)
-    raise PlanError(f"peek_eval cannot model {type(expr).__name__}")

@@ -30,8 +30,9 @@ SEMI = "semi"
 ANTI = "anti"
 JOIN_KINDS = (INNER, LEFT, SEMI, ANTI)
 
-#: Modelled bytes per hash-table entry (key + pointer + padding).
-_ENTRY_BYTES = 24
+#: Modelled bytes per hash-table entry (key + pointer + padding); the
+#: cost model (``db.costs``) sizes hash traffic with the same figure.
+HASH_ENTRY_BYTES = 24
 
 
 class _ModeledHashTable:
@@ -43,7 +44,7 @@ class _ModeledHashTable:
         self.n_buckets = n_buckets
         self.buckets_region = ctx.temp.alloc(n_buckets * 8, label=f"{label}/buckets")
         self.entries_region = ctx.temp.alloc(
-            max(64, est_entries) * _ENTRY_BYTES, label=f"{label}/entries"
+            max(64, est_entries) * HASH_ENTRY_BYTES, label=f"{label}/entries"
         )
         self._cursor = 0
         self._map: dict = {}
@@ -69,10 +70,10 @@ class _ModeledHashTable:
         machine = self.ctx.machine
         machine.load(self._bucket_addr(key), dependent=True)
         entry_addr = self.entries_region.base + (
-            self._cursor % max(1, self.entries_region.size - _ENTRY_BYTES)
+            self._cursor % max(1, self.entries_region.size - HASH_ENTRY_BYTES)
         )
-        machine.store_bytes(entry_addr, _ENTRY_BYTES)
-        self._cursor += _ENTRY_BYTES
+        machine.store_bytes(entry_addr, HASH_ENTRY_BYTES)
+        self._cursor += HASH_ENTRY_BYTES
         self._map.setdefault(key, []).append(value)
         self.n_entries += 1
 
@@ -90,7 +91,7 @@ class _ModeledHashTable:
 
     @property
     def bytes_used(self) -> int:
-        return self.n_buckets * 8 + self.n_entries * _ENTRY_BYTES
+        return self.n_buckets * 8 + self.n_entries * HASH_ENTRY_BYTES
 
 
 class HashJoinOp(PhysicalOp):

@@ -24,14 +24,13 @@ from repro.core.model import DeltaE
 from repro.db.catalog import Catalog
 from repro.db.costs import EnergyModel
 from repro.db.exprs import (
-    And,
     Col,
     Expr,
-    Or,
-    TupleOf,
     and_all,
+    children,
     columns_used,
     conjuncts,
+    with_children,
 )
 from repro.db.planner import (
     Aggregate,
@@ -123,17 +122,8 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     """Replace every column reference via ``mapping`` (recursive)."""
     if isinstance(expr, Col):
         return mapping.get(expr.name, expr)
-    if isinstance(expr, (And, Or, TupleOf)):  # variadic constructors
-        parts = tuple(substitute(p, mapping) for p in expr.parts)
-        return expr if parts == expr.parts else type(expr)(*parts)
-    kwargs = {}
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        if isinstance(value, Expr):
-            replaced = substitute(value, mapping)
-            if replaced is not value:
-                kwargs[field.name] = replaced
-    return dataclasses.replace(expr, **kwargs) if kwargs else expr
+    return with_children(expr, [substitute(child, mapping)
+                                for child in children(expr)])
 
 
 def _settle(node: Logical, preds: list[Expr]) -> Logical:

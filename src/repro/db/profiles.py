@@ -84,15 +84,6 @@ class EngineProfile:
     #: Size of that working set, as a multiple of the machine's L1D.
     cold_state_l1d_multiple: int = 24
 
-    def with_setting(self, setting: str) -> "EngineProfile":
-        if self.name == "postgresql":
-            return postgres_like(setting)
-        if self.name == "sqlite":
-            return sqlite_like(setting)
-        if self.name == "mysql":
-            return mysql_like(setting)
-        raise ConfigError(f"unknown engine {self.name!r}")
-
 
 def _pick(setting: str, small, baseline, large):
     if setting == SMALL:

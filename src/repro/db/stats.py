@@ -81,8 +81,6 @@ class TableStats:
     #: capture cross-column and cross-table filter correlation that
     #: per-column summaries lose.
     rows: tuple = ()
-    #: Column name → tuple index, for :func:`repro.db.exprs.peek_eval`.
-    index_of: dict = None
 
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name)
@@ -101,9 +99,7 @@ def collect(table: TableDef) -> TableStats:
     for idx, name in enumerate(names):
         values = sorted(row[idx] for row in sampled)
         columns[name] = ColumnStats(tuple(values), len(set(values)))
-    index_of = {name: idx for idx, name in enumerate(names)}
-    return TableStats(n_rows, len(sampled), columns, tuple(sampled),
-                      index_of)
+    return TableStats(n_rows, len(sampled), columns, tuple(sampled))
 
 
 class Statistics:
@@ -142,8 +138,12 @@ class Statistics:
         items shipped after it), which independence overestimates by an
         order of magnitude.  Each matching (l, r) pair survives both
         strided samples with probability ``f_l · f_r``, so the sample
-        match count scales by ``1 / (f_l · f_r)``.  Returns None when a
-        predicate uses an expression :func:`peek_eval` cannot model.
+        match count scales by ``1 / (f_l · f_r)``.  Predicates and keys
+        run as the executor's compiled evaluators over
+        :data:`~repro.db.exprs.UNCHARGED`, so the estimate sees exactly
+        the values the plan computes.  Returns None when an expression
+        names a column its table lacks or cannot evaluate on a sampled
+        row.
         """
         key = (left_table, left_pred, left_key,
                right_table, right_pred, right_key)
@@ -155,29 +155,29 @@ class Statistics:
 
     def _sample_join(self, left_table, left_pred, left_key,
                      right_table, right_pred, right_key):
-        from repro.errors import PlanError
-        from repro.db.exprs import peek_eval
+        from repro.errors import CatalogError
+        from repro.db.exprs import UNCHARGED
 
         left = self.table(left_table)
         right = self.table(right_table)
         if not left.rows or not right.rows:
             return None
 
-        def surviving_keys(stats: TableStats, pred, key_expr) -> list:
-            out = []
-            for row in stats.rows:
-                if pred is not None and not peek_eval(pred, row,
-                                                      stats.index_of):
-                    continue
-                out.append(peek_eval(key_expr, row, stats.index_of))
-            return out
+        def surviving_keys(table: str, pred, key_expr) -> list:
+            schema = self.catalog.table(table).schema
+            rows = self.table(table).rows
+            key = key_expr.compile(schema, UNCHARGED)
+            if pred is None:
+                return [key(row) for row in rows]
+            keep = pred.compile(schema, UNCHARGED)
+            return [key(row) for row in rows if keep(row)]
 
         try:
-            left_keys = surviving_keys(left, left_pred, left_key)
+            left_keys = surviving_keys(left_table, left_pred, left_key)
             build: dict = {}
-            for value in surviving_keys(right, right_pred, right_key):
+            for value in surviving_keys(right_table, right_pred, right_key):
                 build[value] = build.get(value, 0) + 1
-        except (PlanError, KeyError, TypeError):
+        except (CatalogError, TypeError):
             return None
         matches = sum(build.get(value, 0) for value in left_keys)
         f_left = len(left.rows) / max(left.n_rows, 1)

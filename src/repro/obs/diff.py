@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import DiffError
+from repro.fold import left_sum
 
 #: Micro-op instruction classes and their PMU counter fields.
 MICROOP_FIELDS = {
@@ -129,7 +130,7 @@ def _credit_weighted(target: dict, fields_map: dict, counters: dict,
     their counts; accumulate counts alongside."""
     counts = {key: float(counters.get(fld, 0) or 0)
               for key, fld in fields_map.items()}
-    total = sum(counts.values())
+    total = left_sum(counts.values())
     for key, count in counts.items():
         entry = target.setdefault(key, {"count": 0.0, "energy_j": 0.0})
         entry["count"] += count
@@ -332,6 +333,29 @@ def _rank(rows: list, by: str) -> list:
     )
 
 
+def _shared_query_totals(a_ops: dict, b_ops: dict) -> dict:
+    """Optimizer totals over the queries both artifacts measured.
+
+    A query on one side only reflects a different ``--query`` list, not
+    an energy change: it is counted (``only_a``/``only_b``) but left
+    out of both sums, which keep each artifact's order.  With no query
+    in common there is no total to compare.
+    """
+    shared = a_ops.keys() & b_ops.keys()
+    totals = {"only_a": len(a_ops) - len(shared),
+              "only_b": len(b_ops) - len(shared),
+              "a_energy_j": None, "b_energy_j": None,
+              "delta_energy_j": None}
+    if shared:
+        a_j = left_sum(row["energy_j"] for name, row in a_ops.items()
+                       if name in shared)
+        b_j = left_sum(row["energy_j"] for name, row in b_ops.items()
+                       if name in shared)
+        totals.update(a_energy_j=a_j, b_energy_j=b_j,
+                      delta_energy_j=b_j - a_j)
+    return totals
+
+
 def diff_snapshots(a: Snapshot, b: Snapshot) -> dict:
     """Ranked per-dimension deltas ``b - a`` (A is the baseline)."""
     _check_comparable(a, b)
@@ -357,6 +381,8 @@ def diff_snapshots(a: Snapshot, b: Snapshot) -> dict:
         },
         "dims": {},
     }
+    if a.kind == "optimizer":
+        out["totals"].update(_shared_query_totals(a.operators, b.operators))
     if a.operators or b.operators:
         out["dims"]["operator"] = _rank(
             _delta_rows(a.operators, b.operators, ("energy_j", "time_s")),
@@ -447,6 +473,11 @@ def render_diff(diff: dict, top: int = 10) -> str:
             f"total energy: {totals['a_energy_j']:.4e} J -> "
             f"{totals['b_energy_j']:.4e} J "
             f"({totals['delta_energy_j']:+.3e} J, {pct:+.1f}%)"
+        )
+    if "only_a" in totals:
+        lines.append(
+            f"queries: {totals['only_a']} only in A, "
+            f"{totals['only_b']} only in B (not in the totals)"
         )
     if totals["delta_time_s"] is not None:
         lines.append(

@@ -148,6 +148,17 @@ class TestHelpers:
                      E.CaseWhen(E.Col("d").eq(1), E.Const(1), E.Col("a")))
         assert E.columns_used(expr) == {"a", "b", "s", "d"}
 
+    def test_children_rebuild(self):
+        cmp = E.Col("a") < E.Col("b")
+        both = E.And(cmp, E.Col("d").eq(1))
+        assert E.children(cmp) == (E.Col("a"), E.Col("b"))
+        assert E.children(both) == both.parts
+        assert E.children(E.Between(E.Col("a"), 1, 2)) == (E.Col("a"),)
+        assert E.with_children(cmp, E.children(cmp)) is cmp
+        assert (E.with_children(cmp, [E.Col("d"), E.Col("b")])
+                == (E.Col("d") < E.Col("b")))
+        assert E.with_children(both, [cmp, cmp]) == E.And(cmp, cmp)
+
     def test_conjuncts_flatten(self):
         expr = E.And(E.Col("a").eq(1), E.And(E.Col("b").eq(2), E.Col("d").eq(3)))
         assert len(E.conjuncts(expr)) == 3
@@ -168,9 +179,10 @@ class TestHelpers:
         assert E.and_all([]) is None
 
 
-#: One expression of each node type ``peek_eval`` models, with both
-#: outcomes of the boolean ones and both arms of ``CaseWhen``.
+#: At least one expression of each node type, with both outcomes of
+#: the boolean ones and both arms of ``CaseWhen``.
 PEEK_EXPRS = [
+    E.Col("s"), E.Const(42),
     E.Col("a") + E.Const(3), E.Col("a") - E.Const(2),
     E.Col("b") * E.Const(2), E.Col("a") / E.Const(2),
     E.Col("a") < E.Const(10), E.Col("a").ne(7),
@@ -186,31 +198,52 @@ PEEK_EXPRS = [
     E.CaseWhen(E.Col("a") > E.Const(50), E.Const("big"), E.Const("small")),
 ]
 
+NULL_ROW = (None,) * len(ROW)
+
+
+def _outcome(expr, machine, row):
+    """``expr``'s value on ``row``, or the type of error it raises."""
+    try:
+        return expr.compile(SCHEMA, machine)(row)
+    except TypeError as exc:  # NULL into an ordering or a date
+        return type(exc)
+
 
 class TestPeekEval:
-    """``peek_eval`` (statistics samples) computes what the compiled
-    evaluator computes, charge-free."""
-
-    INDEX_OF = {name: i for i, name in enumerate(SCHEMA.names())}
+    """Peek evaluation — an expression compiled over
+    :data:`~repro.db.exprs.UNCHARGED`, as statistics run predicates on
+    their samples — computes what the machine-compiled evaluator
+    computes and charges nothing."""
 
     @pytest.mark.parametrize("expr", PEEK_EXPRS, ids=repr)
     def test_matches_compiled(self, machine, expr):
-        before = machine.cpu.counters.as_dict()
-        peeked = E.peek_eval(expr, ROW, self.INDEX_OF)
-        assert machine.cpu.counters.as_dict() == before
+        before = machine.pmu.counters.as_dict()
+        peeked = run(expr, E.UNCHARGED)
+        assert machine.pmu.counters.as_dict() == before
         assert peeked == run(expr, machine)
 
-    @pytest.mark.parametrize("expr", [
-        E.Col("a") + E.Const(1), E.Col("a") < E.Const(10),
-    ])
+    @pytest.mark.parametrize("expr", PEEK_EXPRS)
     def test_null_matches_compiled(self, machine, expr):
-        row = (None,) + ROW[1:]
-        assert (E.peek_eval(expr, row, self.INDEX_OF)
-                == run(expr, machine, row))
+        before = machine.pmu.counters.as_dict()
+        peeked = _outcome(expr, E.UNCHARGED, NULL_ROW)
+        assert machine.pmu.counters.as_dict() == before
+        assert peeked == _outcome(expr, machine, NULL_ROW)
+
+    def test_cases_cover_every_node_type(self):
+        seen = set()
+        stack = list(PEEK_EXPRS)
+        while stack:
+            expr = stack.pop()
+            seen.add(type(expr))
+            stack.extend(E.children(expr))
+        nodes = {cls for cls in vars(E).values()
+                 if isinstance(cls, type) and issubclass(cls, E.Expr)
+                 and cls is not E.Expr}
+        assert seen == nodes
 
     def test_unmodelled_node_raises(self):
         class Opaque(E.Expr):
             pass
 
-        with pytest.raises(PlanError):
-            E.peek_eval(Opaque(), ROW, self.INDEX_OF)
+        with pytest.raises(NotImplementedError):
+            Opaque().compile(SCHEMA, E.UNCHARGED)

@@ -52,11 +52,6 @@ class TestKnobs:
         with pytest.raises(ConfigError):
             engine_profile("oracle")
 
-    def test_with_setting(self):
-        profile = postgres_like(SMALL).with_setting(LARGE)
-        assert profile.setting == LARGE
-        assert profile.name == "postgresql"
-
     def test_invalid_setting(self):
         with pytest.raises(ConfigError):
             postgres_like("huge")

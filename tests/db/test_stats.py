@@ -103,6 +103,30 @@ class TestSampleJoin:
         # 10MB samples the whole table, so the sample join is exact.
         assert est == pytest.approx(actual, rel=0.01)
 
+    def test_unknown_column_gives_no_estimate(self, stats):
+        from repro.db.exprs import Col
+
+        assert stats.sample_join_rows(
+            "orders", None, Col("o_missing"),
+            "customer", None, Col("c_custkey"),
+        ) is None
+        assert stats.sample_join_rows(
+            "orders", Col("o_missing").eq(1), Col("o_custkey"),
+            "customer", None, Col("c_custkey"),
+        ) is None
+
+    def test_filtered_join_leaves_machine_counters_alone(self, db):
+        from repro.db.exprs import Col, Const
+
+        fresh = Statistics(db.catalog)
+        before = db.machine.pmu.counters.as_dict()
+        est = fresh.sample_join_rows(
+            "orders", Col("o_totalprice") > Const(1000.0), Col("o_custkey"),
+            "customer", Col("c_acctbal") < Const(0.0), Col("c_custkey"),
+        )
+        assert db.machine.pmu.counters.as_dict() == before
+        assert est > 0
+
     def test_memoised(self, stats):
         from repro.db.exprs import Col
 

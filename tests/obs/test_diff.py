@@ -242,6 +242,9 @@ class TestArtifactLoaders:
         other = load_snapshot(_write(tmp_path, "partial.json", partial))
         assert list(other.operators) == ["sqlite.Q6"]
         diff = diff_snapshots(other, snap)
-        assert diff["totals"]["delta_energy_j"] == snap.total_energy_j - \
-            other.total_energy_j
+        # mysql.Q6, measured in B only, stays out of the totals.
+        assert diff["totals"]["a_energy_j"] == 0 + joules[0]
+        assert diff["totals"]["b_energy_j"] == 0 + joules[0]
+        assert diff["totals"]["delta_energy_j"] == 0.0
+        assert (diff["totals"]["only_a"], diff["totals"]["only_b"]) == (0, 1)
         assert "mysql.Q6" in render_diff(diff)

@@ -254,6 +254,31 @@ class TestChaosCommand:
         assert "Traceback" not in err
 
 
+class TestClusterFlags:
+    """Cluster mode refuses the serve loop's telemetry flags instead of
+    silently dropping them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--cluster", "--telemetry", "sampler",
+         "--timeline-out", "x.csv"],
+        ["serve", "--cluster", "--exemplar-rate", "0.5"],
+        ["chaos", "--cluster", "--reservoir-size", "8"],
+        ["chaos", "--scenario", "node", "--timeline-window", "0.02"],
+        ["chaos", "--scenario", "partition", "--telemetry", "off"],
+    ])
+    def test_cluster_refuses_telemetry_flags(self, argv, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--tier", "10MB", "--nodes", "2",
+                            "--queries", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: error: --")
+        assert "not supported in cluster mode" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+
+
+
 class TestDiffCommand:
     """``repro diff`` over two optimizer-harness artifacts (the command
     that diffs ``repro optimize --compare --out`` files)."""
@@ -295,6 +320,21 @@ class TestDiffCommand:
         assert out.index("sqlite.Q6") < out.index("sqlite.Q3")
         assert main(["diff", a, b, "--top", "1"]) == 0
         assert "sqlite.Q3" not in capsys.readouterr().out
+
+    def test_totals_cover_only_shared_queries(self, artifacts, capsys):
+        a, b = artifacts
+        assert main(["diff", a, b, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        totals = printed["totals"]
+        q6 = next(row for row in printed["dims"]["operator"]
+                  if row["name"] == "sqlite.Q6")
+        assert totals["a_energy_j"] == q6["a_energy_j"]
+        assert totals["b_energy_j"] == q6["b_energy_j"]
+        assert totals["delta_energy_j"] == q6["delta_energy_j"]
+        assert (totals["only_a"], totals["only_b"]) == (0, 1)
+        assert main(["diff", a, b]) == 0
+        assert ("queries: 0 only in A, 1 only in B (not in the totals)"
+                in capsys.readouterr().out)
 
     def test_optimize_has_no_diff_flag(self):
         with pytest.raises(SystemExit):
