@@ -3,6 +3,8 @@ engine profile, the optimizer's plan must return exactly the rows the
 hand-built plan returns (order-sensitive only when the plan root pins
 an order)."""
 
+import hashlib
+
 import pytest
 
 from repro import Machine, tiny_intel
@@ -62,6 +64,40 @@ def test_optimized_rows_identical(harness, number):
     assert rows_equal(expected, actual, ordered), (
         f"Q{number}: optimized rows differ"
     )
+
+
+#: SHA-256 prefix of every chosen plan's ``repr`` and kept passes, all 22
+#: queries in order (multi-pass queries contribute one line per planned
+#: statement).  A change here means the optimizer picks different plans:
+#: re-record only alongside a measured account of the new choices.
+CHOSEN_PLAN_DIGESTS = {
+    "mysql": "b0ab7bec61d32a38",
+    "postgresql": "b0ab7bec61d32a38",
+    "sqlite": "bcb58dc1e5a4a370",
+}
+
+
+def test_chosen_plans_pinned(harness):
+    db, optimizer = harness
+    digest = hashlib.sha256()
+    for number in ALL_QUERIES:
+        query = QUERIES[number]
+        if query.plan is not None:
+            results = [optimizer.optimize(query.plan)]
+        else:
+            recorder = _RecordingOptimizer(optimizer)
+            db.optimizer = recorder
+            try:
+                query.run(db)
+            finally:
+                db.optimizer = None
+            results = recorder.results
+        for result in results:
+            digest.update(
+                f"Q{number} {result.plan!r} {result.kept_passes!r}\n"
+                .encode()
+            )
+    assert digest.hexdigest()[:16] == CHOSEN_PLAN_DIGESTS[db.profile.name]
 
 
 def test_multi_pass_queries_are_exactly_the_planless_ones():
