@@ -33,7 +33,6 @@ status 2 and a one-line message, never a traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
@@ -221,7 +220,7 @@ def cmd_trace(args) -> int:
             seed=derive_seed(args.seed, "obs", "exemplars"),
             exemplar_rate=args.exemplar_rate,
             reservoir_size=args.reservoir_size,
-            trace_operators=True, name="query",
+            name="query",
         )
     else:
         tracer = Tracer(machine, background=cal.background,
@@ -418,6 +417,7 @@ def _run_kwargs(args) -> dict:
 def _serve_config(args, **extra):
     from repro.serve import ServeConfig
 
+    _refuse_dropped_flags(args, cluster=False)
     return ServeConfig(
         **_run_kwargs(args),
         workload=args.workload,
@@ -429,35 +429,59 @@ def _serve_config(args, **extra):
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         queue_timeout_s=args.queue_timeout,
-        **{field: getattr(args, dest)
-           for dest, field in _TELEMETRY_FLAG_FIELDS},
+        telemetry=args.telemetry,
+        exemplar_rate=args.exemplar_rate,
+        reservoir_size=args.reservoir_size,
+        timeline_out=args.timeline_out,
+        timeline_window_s=args.timeline_window,
         **extra,
     )
 
 
-#: (CLI dest, ServeConfig field) pairs of the serve loop's telemetry
-#: flags.  The cluster records no telemetry, so cluster mode refuses
-#: any of them left off its default rather than drop it.
-_TELEMETRY_FLAG_FIELDS = (
-    ("telemetry", "telemetry"),
-    ("exemplar_rate", "exemplar_rate"),
-    ("reservoir_size", "reservoir_size"),
-    ("timeline_out", "timeline_out"),
-    ("timeline_window", "timeline_window_s"),
+#: CLI dests only the serve loop reads (chaos adds the retry flags);
+#: cluster mode refuses any of them left off its parser default.
+_SERVE_ONLY_FLAGS = (
+    "workload", "policy", "dvfs", "cores", "mpl", "quantum_rows",
+    "max_queue", "tenant_quota", "queue_timeout",
+    "telemetry", "exemplar_rate", "reservoir_size", "timeline_out",
+    "timeline_window",
+    "retries", "retry_backoff", "retry_jitter", "retry_budget", "deadline",
 )
+
+#: CLI dests only the cluster reads (chaos adds its node and network
+#: fault flags); serve mode refuses them likewise.
+_CLUSTER_ONLY_FLAGS = (
+    "nodes", "replication", "net_latency", "net_bandwidth",
+    "subreq_timeout", "failover_attempts", "failover_backoff",
+    "hedge_quantile", "hedge_min_samples", "no_partial",
+    "node_crash_p", "node_crash_restart", "node_slow_p", "node_slow_factor",
+    "net_partition_p", "net_partition_s", "net_drop_p",
+)
+
+
+def _refuse_dropped_flags(args, cluster: bool) -> None:
+    """Raise :class:`ConfigError` naming every flag the chosen mode
+    would silently drop (left off its parser default)."""
+    defaults = build_parser().parse_args([args.command])
+    dropped = _SERVE_ONLY_FLAGS if cluster else _CLUSTER_ONLY_FLAGS
+    given = [dest for dest in dropped if hasattr(args, dest)
+             and getattr(args, dest) != getattr(defaults, dest)]
+    if given:
+        flags = ", ".join(
+            "--hedge-quantile/--no-hedge" if dest == "hedge_quantile"
+            else "--" + dest.replace("_", "-") for dest in given
+        )
+        if cluster:
+            raise ConfigError(f"{flags}: not supported in cluster mode "
+                              f"(only the serve loop reads them)")
+        raise ConfigError(f"{flags}: only supported in cluster mode "
+                          f"(add --cluster)")
 
 
 def _cluster_config(args, **extra):
     from repro.cluster import ClusterConfig
-    from repro.serve import ServeConfig
 
-    defaults = {f.name: f.default for f in dataclasses.fields(ServeConfig)}
-    given = [dest for dest, field in _TELEMETRY_FLAG_FIELDS
-             if getattr(args, dest) != defaults[field]]
-    if given:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
-        raise ConfigError(f"{flags}: not supported in cluster mode "
-                          f"(the cluster records no telemetry)")
+    _refuse_dropped_flags(args, cluster=True)
     return ClusterConfig(
         **_run_kwargs(args),
         nodes=args.nodes,

@@ -192,104 +192,32 @@ class EnergyModel:
         self.catalog = catalog
         self.profile = profile
         self.pricing = MicroOpPricing.from_delta_e(delta_e)
-        #: Optional :class:`repro.db.stats.Statistics`; scan predicates
-        #: then use sampled selectivities instead of shape guesses.
+        #: Optional :class:`repro.db.stats.Statistics`; a scan predicate
+        #: then keeps the fraction of the table's sample it passes, and
+        #: scan-scan joins join the samples, instead of shape guesses.
         self.stats = stats
 
     # -- selectivity (sampled when statistics are available) ----------------
 
-    def _sampled_conjunct(self, table_name: str,
-                          expr: Expr) -> Optional[float]:
-        """Sampled selectivity of one conjunct, or None when the shape
-        is not a plain column-vs-constant test (callers fall back to the
-        heuristic guesses)."""
-        from repro.db.exprs import Col, Const
-
+    def _sampled(self, table_name: str, predicate: Expr) -> Optional[float]:
         if self.stats is None:
             return None
-        if isinstance(expr, And):
-            out = 1.0
-            for part in expr.parts:
-                s = self._sampled_conjunct(table_name, part)
-                out *= conjunct_selectivity(part) if s is None else s
-            return out
-        if isinstance(expr, Or):
-            total = 0.0
-            for part in expr.parts:
-                s = self._sampled_conjunct(table_name, part)
-                total += conjunct_selectivity(part) if s is None else s
-            return min(1.0, total)
-        if isinstance(expr, Not):
-            s = self._sampled_conjunct(table_name, expr.part)
-            return None if s is None else max(0.0, 1.0 - s)
-        if isinstance(expr, Cmp):
-            col, const, op = expr.left, expr.right, expr.op
-            if isinstance(col, Const) and isinstance(const, Col):
-                col, const = const, col
-                flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-                op = flip.get(op, op)
-            if not (isinstance(col, Col) and isinstance(const, Const)):
-                return None
-            cs = self.stats.table(table_name).column(col.name)
-            if cs is None:
-                return None
-            v = const.value
-            if op == "=":
-                return cs.eq_selectivity(v)
-            if op == "!=":
-                s = cs.eq_selectivity(v)
-                return None if s is None else 1.0 - s
-            if op == "<":
-                return cs.range_selectivity(hi=v, hi_strict=True)
-            if op == "<=":
-                return cs.range_selectivity(hi=v)
-            if op == ">":
-                return cs.range_selectivity(lo=v, lo_strict=True)
-            if op == ">=":
-                return cs.range_selectivity(lo=v)
-            return None
-        if isinstance(expr, Between) and isinstance(expr.part, Col):
-            cs = self.stats.table(table_name).column(expr.part.name)
-            if cs is None:
-                return None
-            return cs.range_selectivity(lo=expr.lo, hi=expr.hi)
-        if isinstance(expr, InList) and isinstance(expr.part, Col):
-            cs = self.stats.table(table_name).column(expr.part.name)
-            if cs is None:
-                return None
-            total = 0.0
-            for v in set(expr.values):
-                s = cs.eq_selectivity(v)
-                if s is None:
-                    return None
-                total += s
-            return min(1.0, total)
-        return None
+        return self.stats.selectivity(table_name, predicate)
 
     def _scan_selectivity(self, table_name: str,
                           predicate: Optional[Expr]) -> float:
-        """Composed selectivity of a scan predicate: sampled per-conjunct
-        where statistics allow, shape guesses otherwise.  With a sample
-        backing the estimate the floor drops to one row's worth — a
-        sampled 0.1% is real, unlike a guessed one."""
+        """Selectivity of a scan predicate: the fraction of the table's
+        sample it keeps where statistics allow, shape guesses otherwise.
+        With a sample backing the estimate the floor drops to one row's
+        worth — a sampled 0.1% is real, unlike a guessed one."""
         if predicate is None:
             return 1.0
-        from repro.db.exprs import conjuncts
-
-        out = 1.0
-        any_sampled = False
-        for part in conjuncts(predicate):
-            s = self._sampled_conjunct(table_name, part)
-            if s is None:
-                s = conjunct_selectivity(part)
-            else:
-                any_sampled = True
-            out *= s
-        if any_sampled:
-            n_rows = max(1.0, float(self.catalog.table(table_name)
-                                    .storage.n_rows))
-            return max(1.0 / n_rows, min(1.0, out))
-        return max(MIN_SELECTIVITY, min(1.0, out))
+        sampled = self._sampled(table_name, predicate)
+        if sampled is None:
+            return predicate_selectivity(predicate)
+        n_rows = max(1.0, float(self.catalog.table(table_name)
+                                .storage.n_rows))
+        return max(1.0 / n_rows, sampled)
 
     def _base_distinct(self, node: Logical, column: str) -> Optional[float]:
         """Distinct-value estimate of ``column``'s base domain under
@@ -305,12 +233,11 @@ class EnergyModel:
             if column not in table.schema:
                 return None
             ts = self.stats.table(node.table)
-            cs = ts.column(column)
-            if cs is None or not cs.sample:
+            if not ts.sampled:
                 return None
             # Average multiplicity in the sample extrapolates: a column
             # with m rows per value in the sample has ~n_rows/m values.
-            return max(1.0, ts.n_rows * cs.n_distinct / len(cs.sample))
+            return max(1.0, ts.n_rows * ts.n_distinct[column] / ts.sampled)
         if isinstance(node, Join):
             found = self._base_distinct(node.left, column)
             if found is None and node.kind == "inner":
@@ -585,9 +512,10 @@ class EnergyModel:
         for part in conjuncts(node.predicate):
             bounds = _range_bounds(part)
             if bounds is not None and bounds[0] == column:
-                sampled = self._sampled_conjunct(node.table, part)
-                return conjunct_selectivity(part) if sampled is None \
-                    else max(0.0, min(1.0, sampled))
+                sampled = self._sampled(node.table, part)
+                if sampled is None:
+                    return conjunct_selectivity(part)
+                return sampled
         return 1.0
 
     def _join(self, node: Join) -> NodeEnergy:

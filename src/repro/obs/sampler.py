@@ -481,18 +481,17 @@ class SamplingAggregator(SettlePartition):
             server.run()
         summary = sampler.finish()
 
-    ``trace_operators`` controls :meth:`wrap_rows`: when False (the
-    serve default) operator pulls pass straight through and operator
-    work is credited to the enclosing quantum's group — the per-row
-    settle that makes full tracing unaffordable at scale never happens.
-    When True (the ``repro trace --telemetry sampler`` mode) operators
-    are re-entered per row exactly like the full tracer, so the group
-    table shows per-operator energy.
+    Operators that reach :meth:`wrap_rows` (``repro trace --telemetry
+    sampler``) are re-entered per row exactly like the full tracer, so
+    the group table shows per-operator energy.  Serve and cluster plans
+    run through ``ExecSession``, whose context never carries the
+    telemetry, so their operator work is credited to the enclosing
+    quantum's group.
     """
 
     def __init__(self, machine: "Machine", background=None, seed: int = 0,
                  exemplar_rate: float = 0.1, reservoir_size: int = 64,
-                 trace_operators: bool = False, name: str = "sampled"):
+                 name: str = "sampled"):
         if not 0.0 <= exemplar_rate <= 1.0:
             raise ConfigError(
                 f"exemplar_rate must be in [0, 1], got {exemplar_rate}"
@@ -503,7 +502,6 @@ class SamplingAggregator(SettlePartition):
             )
         self.exemplar_rate = exemplar_rate
         self.reservoir_size = reservoir_size
-        self.trace_operators = trace_operators
         self._rng = seeded_rng(seed, "obs.sampler")
         self.groups: dict[tuple, GroupAggregate] = {}
         self.meta_energy = MetaEnergy()
@@ -589,13 +587,6 @@ class SamplingAggregator(SettlePartition):
             elif slot < self.reservoir_size:
                 self.exemplars[slot] = exemplar
 
-    def wrap_rows(self, op, ctx):
-        """Operator tracing (see class docstring): pass-through unless
-        ``trace_operators`` asked for per-row attribution."""
-        if not self.trace_operators:
-            return op.rows(ctx)
-        return SettlePartition.wrap_rows(self, op, ctx)
-
     # ------------------------------------------------------------ lifecycle
 
     def _result(self) -> TelemetrySummary:
@@ -613,6 +604,7 @@ class SamplingAggregator(SettlePartition):
 
     # The e2e layer trace hooks these in each class's own dict.
     exit = SettlePartition.exit
+    wrap_rows = SettlePartition.wrap_rows
     finish = SettlePartition.finish
 
 

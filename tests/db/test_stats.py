@@ -46,25 +46,109 @@ class TestCollection:
         assert stats.table("orders") is not first
 
 
+def kept_fraction(db, stats, table, test):
+    """Fraction of ``table``'s sampled rows whose name->value dict
+    passes ``test`` (computed in plain Python, not by ``compile``)."""
+    names = db.catalog.table(table).schema.names()
+    rows = stats.table(table).rows
+    return sum(1 for row in rows if test(dict(zip(names, row)))) / len(rows)
+
+
 class TestSelectivity:
+    """``Statistics.selectivity``: the fraction of the sample the whole
+    compiled predicate keeps."""
+
+    def test_equals_kept_fraction_of_sample(self, db, stats):
+        from repro.db.exprs import Between, Col, InList
+
+        cases = [
+            (Col("l_quantity") <= 25, lambda r: r["l_quantity"] <= 25),
+            (Col("l_quantity").eq(25), lambda r: r["l_quantity"] == 25),
+            (Col("l_quantity").ne(25), lambda r: r["l_quantity"] != 25),
+            (Between(Col("l_quantity"), 5, 15),
+             lambda r: 5 <= r["l_quantity"] <= 15),
+            (InList(Col("l_quantity"), (3, 7, 7)),
+             lambda r: r["l_quantity"] in (3, 7)),
+        ]
+        for expr, test in cases:
+            want = kept_fraction(db, stats, "lineitem", test)
+            assert 0.0 < want < 1.0
+            assert stats.selectivity("lineitem", expr) == want, expr
+
     def test_range_selectivity_tracks_actual_fraction(self, db, stats):
+        from repro.db.exprs import Col
+
         table = db.catalog.table("lineitem")
         idx = table.schema.index_of("l_quantity")
         rows = list(table.storage.peek_rows())
         actual = sum(1 for r in rows if r[idx] <= 25) / len(rows)
-        cs = stats.table("lineitem").column("l_quantity")
-        est = cs.range_selectivity(hi=25)
-        assert est == pytest.approx(actual, abs=0.1)
+        est = stats.selectivity("lineitem", Col("l_quantity") <= 25)
+        assert est == pytest.approx(actual, abs=0.05)
 
-    def test_eq_selectivity_of_unseen_value_uses_distinct(self, stats):
-        cs = stats.table("orders").column("o_orderkey")
-        est = cs.eq_selectivity(-1)
-        assert est is not None
-        assert 0 < est <= 1.0 / max(cs.n_distinct, 1) + 1e-12
+    def test_correlated_and_is_not_the_product(self, db, stats):
+        from repro.db.exprs import And, Col
+
+        low = Col("l_quantity") <= 10
+        high = Col("l_discount") > 0.05
+        both = stats.selectivity("lineitem", And(low, high))
+        assert both == kept_fraction(
+            db, stats, "lineitem",
+            lambda r: r["l_quantity"] <= 10 and r["l_discount"] > 0.05)
+        product = (stats.selectivity("lineitem", low)
+                   * stats.selectivity("lineitem", high))
+        assert both != product
+
+    def test_string_and_column_pairs_are_measured(self, db, stats):
+        from repro.db.costs import conjunct_selectivity
+        from repro.db.exprs import Col, StrPrefix
+
+        prefix = StrPrefix(Col("l_shipmode"), "A")
+        late = Col("l_commitdate") < Col("l_receiptdate")
+        for expr, test in (
+            (prefix, lambda r: r["l_shipmode"].startswith("A")),
+            (late, lambda r: r["l_commitdate"] < r["l_receiptdate"]),
+        ):
+            want = kept_fraction(db, stats, "lineitem", test)
+            got = stats.selectivity("lineitem", expr)
+            assert got == want, expr
+            assert got != conjunct_selectivity(expr), expr
 
     def test_uncomparable_value_returns_none(self, stats):
-        cs = stats.table("orders").column("o_orderkey")
-        assert cs.eq_selectivity(object()) is None
+        from repro.db.exprs import Col, Const
+
+        assert stats.selectivity(
+            "orders", Col("o_orderkey") < Const(object())) is None
+
+    def test_missing_column_gives_none(self, stats):
+        from repro.db.exprs import And, Col
+
+        assert stats.selectivity("lineitem", Col("nope").eq(1)) is None
+        assert stats.selectivity(
+            "lineitem", And(Col("l_quantity") <= 10, Col("nope") > 1)
+        ) is None
+
+    def test_invalidate_drops_the_memo(self, db):
+        from repro.db.exprs import Col
+
+        fresh = Statistics(db.catalog)
+        pred = Col("o_totalprice") > 1000.0
+        owing = Col("c_acctbal") < 0.0
+        first = fresh.selectivity("orders", pred)
+        fresh.selectivity("customer", owing)
+        assert list(fresh._kept) == [("orders", pred), ("customer", owing)]
+        fresh.invalidate("orders")
+        assert list(fresh._kept) == [("customer", owing)]
+        assert fresh.selectivity("orders", pred) == first
+
+    def test_leaves_machine_counters_alone(self, db):
+        from repro.db.exprs import Col, StrContains
+
+        fresh = Statistics(db.catalog)
+        fresh.table("part")
+        before = db.machine.pmu.counters.as_dict()
+        est = fresh.selectivity("part", StrContains(Col("p_name"), "green"))
+        assert db.machine.pmu.counters.as_dict() == before
+        assert est > 0
 
 
 class TestSampleJoin:
@@ -135,75 +219,25 @@ class TestSampleJoin:
         assert stats.sample_join_rows(*args) == stats.sample_join_rows(*args)
 
 
-class TestSampledConjunct:
-    """``EnergyModel._sampled_conjunct``: per-shape sampled selectivity,
-    composed the way the shape heuristics compose."""
+class TestScanSelectivity:
+    """``EnergyModel._scan_selectivity``: the sampled fraction of the
+    whole predicate, floored at one row; the shape guesses only without
+    statistics or when the sample cannot evaluate the predicate."""
 
-    @pytest.fixture(scope="class")
-    def model(self, db, stats):
-        from repro.db.costs import EnergyModel
+    def test_sampled_then_guessed(self, db, stats):
+        from repro.db.costs import EnergyModel, predicate_selectivity
+        from repro.db.exprs import Col, Const, Not
 
-        return EnergyModel(db.catalog, db.profile, stats=stats)
-
-    @staticmethod
-    def sel(model, expr):
-        return model._sampled_conjunct("lineitem", expr)
-
-    def test_comparisons_read_the_column_statistics(self, model, stats):
-        from repro.db.exprs import Cmp, Col, Const
-
-        cs = stats.table("lineitem").column("l_quantity")
-        q, v = Col("l_quantity"), Const(25)
-        expected = {
-            "=": cs.eq_selectivity(25),
-            "!=": 1.0 - cs.eq_selectivity(25),
-            "<": cs.range_selectivity(hi=25, hi_strict=True),
-            "<=": cs.range_selectivity(hi=25),
-            ">": cs.range_selectivity(lo=25, lo_strict=True),
-            ">=": cs.range_selectivity(lo=25),
-        }
-        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        for op, want in expected.items():
-            assert self.sel(model, Cmp(op, q, v)) == want, op
-            # Constant on the left: the comparison is mirrored.
-            mirrored = Cmp(flipped.get(op, op), v, q)
-            assert self.sel(model, mirrored) == want, op
-
-    def test_boolean_shapes_compose(self, model):
-        from repro.db.costs import conjunct_selectivity
-        from repro.db.exprs import And, Col, Not, Or, StrPrefix
-
-        low = Col("l_quantity") <= 10
-        high = Col("l_discount") > 0.05
-        opaque = StrPrefix(Col("l_shipmode"), "A")
-        s_low, s_high = self.sel(model, low), self.sel(model, high)
-        assert self.sel(model, And(low, high)) == s_low * s_high
-        assert self.sel(model, Or(low, high)) == min(1.0, s_low + s_high)
-        assert self.sel(model, Not(low)) == 1.0 - s_low
-        # An unsampled part falls back to its shape guess.
-        assert self.sel(model, And(low, opaque)) == (
-            s_low * conjunct_selectivity(opaque))
-        assert self.sel(model, opaque) is None
-        assert self.sel(model, Not(opaque)) is None
-
-    def test_between_and_in_list(self, model, stats):
-        from repro.db.exprs import Between, Col, InList
-
-        cs = stats.table("lineitem").column("l_quantity")
-        assert self.sel(model, Between(Col("l_quantity"), 5, 15)) == (
-            cs.range_selectivity(lo=5, hi=15))
-        in_list = InList(Col("l_quantity"), (3, 7, 7))
-        assert self.sel(model, in_list) == min(
-            1.0, cs.eq_selectivity(3) + cs.eq_selectivity(7))
-        unseen = InList(Col("l_quantity"), (3, object()))
-        assert self.sel(model, unseen) is None
-
-    def test_untracked_shapes_are_not_sampled(self, model):
-        from repro.db.exprs import Between, Cmp, Col, Const, InList
-
-        assert self.sel(model, Cmp("<", Col("l_quantity") + 1,
-                                   Const(5))) is None
-        for expr in (Cmp("=", Col("nope"), Const(1)),
-                     Between(Col("nope"), 1, 2),
-                     InList(Col("nope"), (1,))):
-            assert self.sel(model, expr) is None
+        sampled = EnergyModel(db.catalog, db.profile, stats=stats)
+        bare = EnergyModel(db.catalog, db.profile)
+        pred = Not(Col("l_quantity").eq(25))
+        assert sampled._scan_selectivity("lineitem", pred) == (
+            stats.selectivity("lineitem", pred))
+        assert bare._scan_selectivity("lineitem", pred) == (
+            predicate_selectivity(pred))
+        missing = Col("nope").eq(1)
+        assert sampled._scan_selectivity("lineitem", missing) == (
+            predicate_selectivity(missing))
+        n_rows = db.catalog.table("lineitem").storage.n_rows
+        assert sampled._scan_selectivity(
+            "lineitem", Col("l_quantity") < Const(-1)) == 1.0 / n_rows

@@ -144,23 +144,20 @@ class TestAggregator:
         assert any(row["cache_levels"]["L1D"]["accesses"] > 0
                    for row in rows.values())
 
-    @pytest.mark.parametrize("trace_operators", [False, True])
-    def test_operator_rows_traced_only_on_request(self, sqlite_db,
-                                                  trace_operators):
-        """Without ``trace_operators`` an executed plan's rows pass
-        straight through: no operator groups, same rows, and the group
-        table still partitions the window."""
+    def test_operator_rows_traced(self, sqlite_db):
+        """An executed plan's operators get their own groups, the rows
+        are unchanged, and the group table still partitions the
+        window."""
         statement = ("SELECT r_name, COUNT(*) FROM region GROUP BY r_name"
                      " ORDER BY r_name")
         untraced = sqlite_db.sql(statement)
-        agg = SamplingAggregator(sqlite_db.machine,
-                                 trace_operators=trace_operators)
+        agg = SamplingAggregator(sqlite_db.machine)
         with agg:
             rows = sqlite_db.sql(statement)
         summary = agg.finish()
         assert rows == untraced
         categories = {key[0] for key in summary.groups}
-        assert ("operator" in categories) is trace_operators
+        assert "operator" in categories
         table = summary.group_table()
         total = sum(row["active_j"] for row in table.values())
         assert total == pytest.approx(summary.total_active_j, rel=1e-9)

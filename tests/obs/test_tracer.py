@@ -257,7 +257,7 @@ class TestOperatorError:
 
     @pytest.mark.parametrize("make", [
         Tracer,
-        lambda machine: SamplingAggregator(machine, trace_operators=True),
+        SamplingAggregator,
     ], ids=["tracer", "sampler"])
     def test_error_propagates_and_leaves_the_stack_balanced(
             self, quiet_machine, make):

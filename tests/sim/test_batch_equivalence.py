@@ -23,6 +23,7 @@ from repro.config import tiny_arm, tiny_intel
 from repro.db.btree import BTree, probe_ops
 from repro.errors import ConfigError
 from repro.micro.framework import shuffled_chain_order
+from repro.seeding import stable_hash
 from repro.sim.address_space import Region
 from repro.sim.batch import BatchExecutor
 from repro.sim.hierarchy import LEVEL_MEM
@@ -105,6 +106,11 @@ def _random_program(rng: random.Random, tcm_base, tcm_size) -> list:
             else:
                 ops.append(("straddle", rng.randrange(1, 6),
                             rng.random() < 0.5))
+    if tcm_base is not None:
+        # Every TCM program stores into the TCM at least once.
+        ops.insert(rng.randrange(len(ops) + 1),
+                   ("tcm_store_repeat", rng.randrange(0, tcm_size, 8),
+                    rng.randrange(1, 40)))
     return ops
 
 
@@ -166,7 +172,7 @@ def _execute(preset: str, mode: str, program: list, eist: bool):
 def test_random_mix_equivalence(preset, seed):
     machine = Machine(PRESETS[preset]())
     tcm = machine.hierarchy.tcm_region
-    rng = random.Random((hash(preset) ^ seed) & 0xFFFFFFFF)
+    rng = random.Random((stable_hash(preset) ^ seed) & 0xFFFFFFFF)
     program = _random_program(
         rng,
         tcm.base if tcm is not None else None,

@@ -255,8 +255,8 @@ class TestChaosCommand:
 
 
 class TestClusterFlags:
-    """Cluster mode refuses the serve loop's telemetry flags instead of
-    silently dropping them."""
+    """Each mode refuses the flags only the other mode reads (left off
+    their parser defaults) instead of silently dropping them."""
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--cluster", "--telemetry", "sampler",
@@ -276,6 +276,59 @@ class TestClusterFlags:
         assert "not supported in cluster mode" in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["serve", "--cluster", "--policy", "sjf", "--cores", "8",
+          "--mpl", "7", "--workload", "kv"],
+         "--workload, --policy, --cores, --mpl"),
+        (["serve", "--cluster", "--dvfs", "pace", "--quantum-rows", "8",
+          "--max-queue", "9", "--tenant-quota", "2",
+          "--queue-timeout", "0.5"],
+         "--dvfs, --quantum-rows, --max-queue, --tenant-quota, "
+         "--queue-timeout"),
+        (["chaos", "--cluster", "--retries", "3", "--retry-backoff", "0.01",
+          "--retry-jitter", "0.2", "--retry-budget", "4"],
+         "--retries, --retry-backoff, --retry-jitter, --retry-budget"),
+        (["chaos", "--scenario", "node", "--deadline", "0.5"],
+         "--deadline"),
+    ])
+    def test_cluster_refuses_serve_only_flags(self, argv, flags, capsys):
+        assert main(argv + ["--tier", "10MB", "--nodes", "2",
+                            "--queries", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"repro {argv[0]}: error: {flags}: not supported "
+                       f"in cluster mode (only the serve loop reads "
+                       f"them)\n")
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["serve", "--nodes", "3", "--replication", "1"],
+         "--nodes, --replication"),
+        (["serve", "--net-latency", "1e-3", "--net-bandwidth", "1e9",
+          "--subreq-timeout", "0.1"],
+         "--net-latency, --net-bandwidth, --subreq-timeout"),
+        (["chaos", "--scenario", "disk", "--failover-attempts", "1",
+          "--failover-backoff", "0.01", "--no-partial"],
+         "--failover-attempts, --failover-backoff, --no-partial"),
+        (["chaos", "--no-hedge", "--hedge-min-samples", "4"],
+         "--hedge-quantile/--no-hedge, --hedge-min-samples"),
+        (["chaos", "--scenario", "none", "--node-crash-p", "0.5",
+          "--net-drop-p", "0.5"],
+         "--node-crash-p, --net-drop-p"),
+    ])
+    def test_serve_refuses_cluster_only_flags(self, argv, flags, capsys):
+        assert main(argv + ["--tier", "10MB", "--queries", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"repro {argv[0]}: error: {flags}: only supported "
+                       f"in cluster mode (add --cluster)\n")
+
+    def test_chaos_cluster_accepts_the_parser_defaults(self, capsys):
+        """Chaos's ``--retries`` defaults to 2 in the parser, not the
+        config's 0: left alone it is not a flag the cluster drops."""
+        assert main(["chaos", "--cluster", "--scenario", "none",
+                     "--tier", "10MB", "--nodes", "2", "--clients", "2",
+                     "--queries", "4", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["completed"] == 4
 
 
 
